@@ -633,6 +633,13 @@ let run_query file multi_files no_share rounds tuples_per_round punct_lag
   | _ :: _, Some _ ->
       Fmt.epr "--query and the QUERY positional are mutually exclusive@.";
       1
+  | _ :: _, None
+    when shards > 1
+         && (report_file <> None || trace_file <> None || listen <> None) ->
+      Fmt.epr
+        "--report / --trace / --listen require --shards 1 in multi-query mode \
+         (the sharded multi-query driver runs uninstrumented)@.";
+      1
   | _ :: _, None ->
       run_multi ~files:multi_files ~no_share ~rounds ~tuples_per_round
         ~punct_lag ~policy ~force ~sample_every ~shards ~trace_file
@@ -664,7 +671,8 @@ let multi_queries =
            one synthetic input; equivalent sub-joins execute as one shared \
            operator when the safety check admits the sharing (see \
            TUTORIAL.md §18). Chaos, contract and replay flags apply only to \
-           single-query mode.")
+           single-query mode; $(b,--report), $(b,--trace) and \
+           $(b,--listen) require $(b,--shards) 1.")
 
 let no_share =
   Arg.(

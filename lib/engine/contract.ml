@@ -248,12 +248,13 @@ let enforce_budget t ~telemetry ~tick ~bytes_now () =
       !total
   | _ -> 0
 
-let meta_counters t =
+let meta_counters ts =
+  let sum f = Obs.Json.Int (List.fold_left (fun acc t -> acc + f t) 0 ts) in
   [
-    ("late_tuples", Obs.Json.Int t.late);
-    ("dup_puncts", Obs.Json.Int t.dups);
-    ("punct_stalls", Obs.Json.Int t.stalls);
-    ("quarantined", Obs.Json.Int t.quarantine_len);
-    ("quarantine_overflow", Obs.Json.Int t.overflow);
-    ("shed_tuples", Obs.Json.Int t.shed);
+    ("late_tuples", sum late_count);
+    ("dup_puncts", sum dup_count);
+    ("punct_stalls", sum stall_count);
+    ("quarantined", sum quarantined_count);
+    ("quarantine_overflow", sum quarantine_overflow);
+    ("shed_tuples", sum shed_count);
   ]

@@ -154,5 +154,6 @@ val quarantined : t -> (string * string * Relational.Tuple.t) list
 val quarantined_count : t -> int
 val quarantine_overflow : t -> int
 
-(** Counter summary for a run report's meta object. *)
-val meta_counters : t -> (string * Obs.Json.t) list
+(** Counter summary for a run report's meta object, summed over the
+    monitors of one run (a sharded run's driver and shard contracts). *)
+val meta_counters : t list -> (string * Obs.Json.t) list

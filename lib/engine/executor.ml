@@ -290,7 +290,7 @@ let total_state_bytes c =
     (fun acc (op : Operator.t) -> acc + op.state_bytes ())
     0 c.all_ops
 
-type breakdown = {
+type breakdown = Grid.breakdown = {
   op_name : string;
   data : int;
   puncts : int;
@@ -298,17 +298,8 @@ type breakdown = {
   bytes : int;
 }
 
-let state_breakdown c =
-  List.map
-    (fun (op : Operator.t) ->
-      {
-        op_name = op.name;
-        data = op.data_state_size ();
-        puncts = op.punct_state_size ();
-        index = op.index_state_size ();
-        bytes = op.state_bytes ();
-      })
-    c.all_ops
+let part c = { Grid.ops = c.all_ops; unreachable = unreachable_inputs c }
+let state_breakdown c = Grid.breakdown [ part c ]
 
 type result = {
   outputs : Element.t list;
@@ -417,59 +408,12 @@ let flush_tree c = final_flush c.root
 let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
     elements =
   let telemetry = c.cfg.Config.telemetry in
-  let metrics = Metrics.create ~sample_every () in
+  let contract = c.cfg.Config.contract in
+  let grid = Grid.start ?exporter ~sample_every ~label telemetry in
+  let parts = [ part c ] in
   let outputs = ref [] in
   let emitted = ref 0 in
   let consumed = ref 0 in
-  (* Live observability on the sampling grid: per-operator state gauges,
-     GC-delta counters and (when an exporter is attached) a rendered
-     snapshot published to the endpoint. Registry-only — the event trace,
-     metrics series and outputs are untouched, so an exporter-less run and
-     an exported one differ in nothing but these run-nondeterministic
-     registry entries (asserted by a test). *)
-  let prev_snapshot = ref None in
-  let prev_gc = ref (Gc.quick_stat ()) in
-  let observe_plane ~tick =
-    List.iter
-      (fun b ->
-        let set suffix v =
-          Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry
-            (b.op_name ^ "." ^ suffix) v
-        in
-        set "data_state" b.data;
-        set "punct_state" b.puncts;
-        set "index_state" b.index;
-        set "state_bytes" b.bytes)
-      (state_breakdown c);
-    let s = Gc.quick_stat () in
-    let p = !prev_gc in
-    prev_gc := s;
-    let dw f = max 0 (int_of_float (f s -. f p)) in
-    let di f = max 0 (f s - f p) in
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.minor_words)) telemetry
-      "gc_minor_words";
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.promoted_words)) telemetry
-      "gc_promoted_words";
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.major_words)) telemetry
-      "gc_major_words";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.minor_collections))
-      telemetry "gc_minor_collections";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.major_collections))
-      telemetry "gc_major_collections";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.compactions)) telemetry
-      "gc_compactions";
-    Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry "gc_heap_words"
-      s.heap_words;
-    match exporter with
-    | None -> ()
-    | Some ex ->
-        let snap =
-          Obs.Snapshot.capture ?prev:!prev_snapshot ~tick
-            (Telemetry.registry telemetry)
-        in
-        prev_snapshot := Some snap;
-        Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-  in
   (* [emitted] counts the data tuples that actually reach the outputs —
      when a sink operator filters or aggregates, it is counted *after* the
      sink, not before (the pre-sink count over-reported under filtering
@@ -489,49 +433,12 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
             outputs := e :: !outputs)
       outs
   in
-  let sample ~tick =
-    if Telemetry.enabled telemetry then begin
-      observe_plane ~tick;
-      Telemetry.emit telemetry
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state c;
-             punct_state = total_punct_state c;
-             index_state = total_index_state c;
-             state_bytes = total_state_bytes c;
-             emitted = !emitted;
-           });
-      match Telemetry.watchdog telemetry with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun (op : Operator.t) ->
-              match
-                Obs.Watchdog.observe w ~op:op.name ~tick
-                  ~size:(op.data_state_size ())
-                  ~unreachable:(unreachable_inputs c op.name)
-              with
-              | None -> ()
-              | Some (a : Obs.Watchdog.alarm) ->
-                  Telemetry.emit telemetry
-                    (Obs.Event.Alarm
-                       {
-                         tick = a.tick;
-                         op = a.op;
-                         slope = a.slope;
-                         size = a.size;
-                         unreachable = a.unreachable;
-                       }))
-            c.all_ops
-    end
-  in
   (* Contract checks run on the sampling grid whether or not telemetry is
      enabled: stall detection and budget enforcement are behaviour, not
      instrumentation. With no contract these are no-ops and the run is
      byte-identical to the pre-contract engine. *)
   let contract_checks ~tick =
-    match c.cfg.Config.contract with
+    match contract with
     | None -> ()
     | Some ct ->
         ignore
@@ -543,85 +450,54 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
              ~bytes_now:(fun () -> total_state_bytes c)
              ())
   in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.set_clock telemetry 0;
-    Telemetry.emit telemetry (Obs.Event.Run_start { tick = 0; label })
-  end;
-  (match batch with
-  | None ->
-      Seq.iter
-        (fun element ->
-          incr consumed;
-          Telemetry.set_clock telemetry !consumed;
-          (match c.cfg.Config.contract with
-          | Some ct -> Contract.note_element ct ~tick:!consumed element
-          | None -> ());
-          accept (feed c.root element);
-          Metrics.observe metrics ~tick:!consumed
-            ~data_state:(total_data_state c)
-            ~punct_state:(total_punct_state c)
-            ~index_state:(total_index_state c)
-            ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-          if !consumed mod sample_every = 0 then begin
-            contract_checks ~tick:!consumed;
-            sample ~tick:!consumed
-          end)
-        elements
-  | Some b ->
-      (* Batched driving: buffer up to [b] elements, but always cut at the
-         sampling grid so metrics/contract checks observe exactly the grid
-         ticks the element path samples (Metrics.observe only records on
-         the grid, so the series are equal). The element clock jumps to the
-         batch-end tick before the feed — within-batch events share it. *)
-      let b = max 1 b in
-      let buf = ref [] in
-      let nbuf = ref 0 in
-      let feed_buffered () =
-        if !nbuf > 0 then begin
-          let arr = Array.of_list (List.rev !buf) in
-          buf := [];
-          nbuf := 0;
-          let base = !consumed in
-          consumed := base + Array.length arr;
-          Telemetry.set_clock telemetry !consumed;
-          (match c.cfg.Config.contract with
-          | Some ct ->
-              Array.iteri
-                (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
-                arr
-          | None -> ());
-          accept (feed_batch c arr);
-          Metrics.observe metrics ~tick:!consumed
-            ~data_state:(total_data_state c)
-            ~punct_state:(total_punct_state c)
-            ~index_state:(total_index_state c)
-            ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-          if !consumed mod sample_every = 0 then begin
-            contract_checks ~tick:!consumed;
-            sample ~tick:!consumed
-          end
-        end
-      in
-      Seq.iter
-        (fun element ->
-          buf := element :: !buf;
-          incr nbuf;
-          if !nbuf >= b || (!consumed + !nbuf) mod sample_every = 0 then
-            feed_buffered ())
-        elements;
-      feed_buffered ());
+  (* One feeding loop: buffer up to [cap] elements, but always cut at the
+     sampling grid so every grid point lands on a run boundary. Without
+     [batch] the run is cut at every element and fed through [feed]; with
+     it, through the operators' push_batch fast path. The element clock
+     jumps to the run-end tick before the feed — within-run events share
+     it. *)
+  let cap, push =
+    match batch with
+    | None -> (1, fun arr -> feed c.root arr.(0))
+    | Some b -> (max 1 b, feed_batch c)
+  in
+  let buf = ref [] in
+  let nbuf = ref 0 in
+  let feed_buffered () =
+    if !nbuf > 0 then begin
+      let arr = Array.of_list (List.rev !buf) in
+      buf := [];
+      nbuf := 0;
+      let base = !consumed in
+      consumed := base + Array.length arr;
+      Telemetry.set_clock telemetry !consumed;
+      (match contract with
+      | Some ct ->
+          Array.iteri
+            (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
+            arr
+      | None -> ());
+      accept (push arr);
+      if !consumed mod sample_every = 0 then begin
+        contract_checks ~tick:!consumed;
+        Grid.sample grid ~tick:!consumed ~emitted:!emitted parts;
+        Grid.publish grid ~tick:!consumed
+      end
+    end
+  in
+  Seq.iter
+    (fun element ->
+      buf := element :: !buf;
+      incr nbuf;
+      if !nbuf >= cap || (!consumed + !nbuf) mod sample_every = 0 then
+        feed_buffered ())
+    elements;
+  feed_buffered ();
   accept (final_flush c.root);
-  Metrics.flush metrics ~tick:!consumed ~data_state:(total_data_state c)
-    ~punct_state:(total_punct_state c)
-    ~index_state:(total_index_state c)
-    ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-  sample ~tick:!consumed;
-  if Telemetry.enabled telemetry then
-    Telemetry.emit telemetry
-      (Obs.Event.Run_end { tick = !consumed; emitted = !emitted });
+  Grid.finish grid ~tick:!consumed ~emitted:!emitted parts;
   {
     outputs = List.rev !outputs;
-    metrics;
+    metrics = Grid.metrics grid;
     consumed = !consumed;
     emitted = !emitted;
   }
@@ -657,55 +533,20 @@ let output_hash outputs =
 
 (* --- report ----------------------------------------------------------- *)
 
-let series_json metrics =
-  Obs.Json.List
-    (List.map
-       (fun (s : Metrics.sample) ->
-         Obs.Json.Obj
-           [
-             ("tick", Obs.Json.Int s.tick);
-             ("data_state", Obs.Json.Int s.data_state);
-             ("punct_state", Obs.Json.Int s.punct_state);
-             ("index_state", Obs.Json.Int s.index_state);
-             ("state_bytes", Obs.Json.Int s.state_bytes);
-             ("emitted", Obs.Json.Int s.emitted);
-           ])
-       (Metrics.samples metrics))
-
 let report ?(meta = []) c (r : result) =
-  let operators =
-    List.map
-      (fun (op : Operator.t) ->
-        {
-          Obs.Report.name = op.Operator.name;
-          inputs = op.input_names;
-          unreachable_inputs = unreachable_inputs c op.Operator.name;
-          stats = Operator.stats_to_alist (op.stats ());
-          state =
-            [
-              ("data", op.data_state_size ());
-              ("puncts", op.punct_state_size ());
-              ("index", op.index_state_size ());
-              ("bytes", op.state_bytes ());
-            ];
-        })
-      c.all_ops
-  in
   let contract_meta =
     match c.cfg.Config.contract with
     | None -> []
-    | Some ct -> [ ("contract", Obs.Json.Obj (Contract.meta_counters ct)) ]
+    | Some ct -> [ ("contract", Obs.Json.Obj (Contract.meta_counters [ ct ])) ]
   in
-  {
-    Obs.Report.meta =
-      meta
+  Grid.report
+    ~meta:
+      (meta
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
         ]
-      @ contract_meta;
-    operators;
-    registry = Telemetry.registry c.cfg.Config.telemetry;
-    series = series_json r.metrics;
-    alarms = Telemetry.alarms c.cfg.Config.telemetry;
-  }
+      @ contract_meta)
+    ~registry:(Telemetry.registry c.cfg.Config.telemetry)
+    ~alarms:(Telemetry.alarms c.cfg.Config.telemetry)
+    [ part c ] r.metrics

@@ -105,15 +105,15 @@ type result = {
           (a filtering/aggregating sink reduces it) *)
 }
 
-(** [run ?sample_every ?sink ?label c elements] pushes every element
-    through the tree (elements of streams the plan does not read are
-    ignored), flushes deferred purge work at the end, and samples total
-    operator state every [sample_every] elements. [sink], when given,
-    additionally consumes every root output as it is emitted (e.g. a
-    group-by operator). Under an enabled telemetry handle the run also
-    emits [Run_start]/[Sample]/[Run_end] events (with [label] on the start
-    marker), stamps the element clock, and feeds the watchdog one
-    state-size point per operator on the sampling grid.
+(** [run ?sample_every ?batch ?sink ?label ?exporter c elements] pushes
+    every element through the tree (elements of streams the plan does not
+    read are ignored), flushes deferred purge work at the end, and records
+    a {!Grid} point every [sample_every] elements and once more after the
+    flush. [sink], when given, additionally consumes every root output as
+    it is emitted (e.g. a group-by operator). Under an enabled telemetry
+    handle the run also emits [Run_start]/[Sample]/[Run_end] events (with
+    [label] on the start marker), stamps the element clock, and maintains
+    the grid's state gauges, GC counters and watchdog feed.
 
     [batch] (default: element-at-a-time) drives the tree through the
     operators' {!Operator.t.push_batch} fast path in groups of up to
@@ -122,14 +122,10 @@ type result = {
     propagated punctuations may be grouped per punctuation run; telemetry
     events inside a batch share the batch-end tick.
 
-    Under an enabled telemetry handle the run additionally maintains, on
-    the sampling grid, per-operator state gauges ([<op>.data_state],
-    [.punct_state], [.index_state], [.state_bytes]) and whole-process GC
-    counters ([gc_minor_words] etc., deltas of [Gc.quick_stat] between
-    samples). [exporter], when given, receives one rendered
-    {!Obs.Openmetrics} snapshot per grid point via {!Obs.Exporter.publish}
-    (requires an enabled telemetry handle; outputs, hash, metrics series
-    and event trace are identical with and without it). *)
+    [exporter], when given, receives one rendered {!Obs.Openmetrics}
+    snapshot of the telemetry registry per grid point via
+    {!Obs.Exporter.publish}; outputs, hash, metrics series and event trace
+    are identical with and without it. *)
 val run :
   ?sample_every:int ->
   ?batch:int ->
@@ -158,7 +154,7 @@ val total_punct_state : compiled -> int
     secondary-index entries and approximate resident bytes — the columns a
     leak diagnosis needs (an index column diverging from data is exactly
     the historical leak shape). *)
-type breakdown = {
+type breakdown = Grid.breakdown = {
   op_name : string;
   data : int;
   puncts : int;
@@ -182,9 +178,9 @@ val output_hash : Streams.Element.t list -> string
     multisets without retaining them. *)
 val render_data : Streams.Element.t -> string option
 
-(** [series_json metrics] — the metrics series as the JSON array a report
-    embeds; shared with {!Parallel_executor}'s aggregated reports. *)
-val series_json : Metrics.t -> Obs.Json.t
+(** [part c] — [c]'s operators as one {!Grid.part}; the multi-query and
+    sharded executors hand one per tree or shard to the grid. *)
+val part : compiled -> Grid.part
 
 (** [report ?meta c result] — the machine-readable run report: per-operator
     stats/state with unreachable-input diagnoses, the telemetry registry,

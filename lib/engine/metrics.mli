@@ -11,7 +11,7 @@
     Sampling contract: ticks are 1-based, and [observe] records only on
     ticks that are multiples of [sample_every] — a run shorter than
     [sample_every] records nothing through [observe] alone. Finish every
-    run with [flush] (as {!Executor.run} does) so the series always carries
+    run with [flush] (as {!Grid.finish} does) so the series always carries
     a closing sample; [final] and the [peak_*] accessors are only
     meaningful after that. *)
 

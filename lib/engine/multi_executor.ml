@@ -224,13 +224,10 @@ let all_trees t =
       (fun u -> Option.map (fun tree -> (u.qid, tree)) u.qtree)
       t.qunits
 
-let sum_over t f =
-  List.fold_left (fun acc (_, tree) -> acc + f tree) 0 (all_trees t)
-
-let total_data_state t = sum_over t Executor.total_data_state
-let total_punct_state t = sum_over t Executor.total_punct_state
-let total_index_state t = sum_over t Executor.total_index_state
-let total_state_bytes t = sum_over t Executor.total_state_bytes
+let total_state_bytes t =
+  List.fold_left
+    (fun acc (_, tree) -> acc + Executor.total_state_bytes tree)
+    0 (all_trees t)
 
 let state_breakdown t =
   List.map
@@ -252,9 +249,12 @@ type result = {
   emitted : int;
 }
 
+let parts t = List.map (fun (_, tree) -> Executor.part tree) (all_trees t)
+
 let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
   let telemetry = t.config.Executor.Config.telemetry in
-  let metrics = Metrics.create ~sample_every () in
+  let grid = Grid.start ?exporter ~sample_every ~label telemetry in
+  let parts = parts t in
   let consumed = ref 0 in
   let emitted = ref 0 in
   let acc : (string, Element.t list ref * int ref) Hashtbl.t =
@@ -277,94 +277,18 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
           outs)
       per_query
   in
-  let prev_snapshot = ref None in
-  let sample ~tick =
-    if Telemetry.enabled telemetry then begin
-      List.iter
-        (fun (_, tree) ->
-          List.iter
-            (fun (b : Executor.breakdown) ->
-              let set suffix v =
-                Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry
-                  (b.Executor.op_name ^ "." ^ suffix) v
-              in
-              set "data_state" b.Executor.data;
-              set "punct_state" b.Executor.puncts;
-              set "index_state" b.Executor.index;
-              set "state_bytes" b.Executor.bytes)
-            (Executor.state_breakdown tree))
-        (all_trees t);
-      Telemetry.emit telemetry
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state t;
-             punct_state = total_punct_state t;
-             index_state = total_index_state t;
-             state_bytes = total_state_bytes t;
-             emitted = !emitted;
-           });
-      (match Telemetry.watchdog telemetry with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun (_, tree) ->
-              List.iter
-                (fun (op : Operator.t) ->
-                  match
-                    Obs.Watchdog.observe w ~op:op.name ~tick
-                      ~size:(op.data_state_size ())
-                      ~unreachable:(Executor.unreachable_inputs tree op.name)
-                  with
-                  | None -> ()
-                  | Some (a : Obs.Watchdog.alarm) ->
-                      Telemetry.emit telemetry
-                        (Obs.Event.Alarm
-                           {
-                             tick = a.tick;
-                             op = a.op;
-                             slope = a.slope;
-                             size = a.size;
-                             unreachable = a.unreachable;
-                           }))
-                (Executor.operators ~c:tree))
-            (all_trees t));
-      match exporter with
-      | None -> ()
-      | Some ex ->
-          let snap =
-            Obs.Snapshot.capture ?prev:!prev_snapshot ~tick
-              (Telemetry.registry telemetry)
-          in
-          prev_snapshot := Some snap;
-          Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-    end
-  in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.set_clock telemetry 0;
-    Telemetry.emit telemetry (Obs.Event.Run_start { tick = 0; label })
-  end;
   Seq.iter
     (fun element ->
       incr consumed;
       Telemetry.set_clock telemetry !consumed;
       accept (feed_element t element);
-      Metrics.observe metrics ~tick:!consumed
-        ~data_state:(total_data_state t)
-        ~punct_state:(total_punct_state t)
-        ~index_state:(total_index_state t)
-        ~state_bytes:(total_state_bytes t) ~emitted:!emitted ();
-      if !consumed mod sample_every = 0 then sample ~tick:!consumed)
+      if !consumed mod sample_every = 0 then begin
+        Grid.sample grid ~tick:!consumed ~emitted:!emitted parts;
+        Grid.publish grid ~tick:!consumed
+      end)
     elements;
   accept (flush t);
-  Metrics.flush metrics ~tick:!consumed ~data_state:(total_data_state t)
-    ~punct_state:(total_punct_state t)
-    ~index_state:(total_index_state t)
-    ~state_bytes:(total_state_bytes t) ~emitted:!emitted ();
-  sample ~tick:!consumed;
-  if Telemetry.enabled telemetry then
-    Telemetry.emit telemetry
-      (Obs.Event.Run_end { tick = !consumed; emitted = !emitted });
+  Grid.finish grid ~tick:!consumed ~emitted:!emitted parts;
   let per_query =
     List.map
       (fun u ->
@@ -378,33 +302,16 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
           } ))
       t.qunits
   in
-  { per_query; metrics; consumed = !consumed; emitted = !emitted }
+  {
+    per_query;
+    metrics = Grid.metrics grid;
+    consumed = !consumed;
+    emitted = !emitted;
+  }
 
 (* --- report ------------------------------------------------------------ *)
 
 let report ?(meta = []) t (r : result) =
-  let operators =
-    List.concat_map
-      (fun (_, tree) ->
-        List.map
-          (fun (op : Operator.t) ->
-            {
-              Obs.Report.name = op.Operator.name;
-              inputs = op.input_names;
-              unreachable_inputs =
-                Executor.unreachable_inputs tree op.Operator.name;
-              stats = Operator.stats_to_alist (op.stats ());
-              state =
-                [
-                  ("data", op.data_state_size ());
-                  ("puncts", op.punct_state_size ());
-                  ("index", op.index_state_size ());
-                  ("bytes", op.state_bytes ());
-                ];
-            })
-          (Executor.operators ~c:tree))
-      (all_trees t)
-  in
   let queries_meta =
     Obs.Json.List
       (List.map
@@ -431,20 +338,18 @@ let report ?(meta = []) t (r : result) =
          t.groups)
   in
   let telemetry = t.config.Executor.Config.telemetry in
-  {
-    Obs.Report.meta =
-      meta
+  Grid.report
+    ~meta:
+      (meta
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
           ("queries", queries_meta);
           ("shared_groups", groups_meta);
-        ];
-    operators;
-    registry = Telemetry.registry telemetry;
-    series = Executor.series_json r.metrics;
-    alarms = Telemetry.alarms telemetry;
-  }
+        ])
+    ~registry:(Telemetry.registry telemetry)
+    ~alarms:(Telemetry.alarms telemetry)
+    (parts t) r.metrics
 
 (* --- sharded driving --------------------------------------------------- *)
 

@@ -75,11 +75,10 @@ type result = {
 
 (** [run ?sample_every ?label ?exporter t elements] — drive the DAG from
     one interleaved sequence, mirroring {!Executor.run}: elements of
-    streams no query reads are ignored but still counted as ticks, state
-    is sampled on the [sample_every] grid (telemetry [Sample] events,
-    per-operator gauges, watchdog feeding, exporter snapshots), and
-    [Run_start]/[Run_end] frame the trace. Shared state is counted once
-    in every total. *)
+    streams no query reads are ignored but still counted as ticks, every
+    [sample_every] ticks the run records the same {!Grid} point a
+    sequential run does (one part per tree), and [Run_start]/[Run_end]
+    frame the trace. Shared state is counted once in every total. *)
 val run :
   ?sample_every:int ->
   ?label:string ->
@@ -88,9 +87,8 @@ val run :
   Streams.Element.t Seq.t ->
   result
 
-val total_data_state : t -> int
-val total_punct_state : t -> int
-val total_index_state : t -> int
+(** [total_state_bytes t] — approximate join-state bytes across the DAG,
+    shared state counted once. *)
 val total_state_bytes : t -> int
 
 (** [state_breakdown t] — per-operator state grouped by owner: shared

@@ -81,7 +81,6 @@ type t = {
   released : Condition.t;
   mutable release : int;  (** last barrier id the driver released *)
   watchdog : Obs.Watchdog.t option;
-  instrument : bool;
   (* Deterministic worker-kill faults: each is one-shot via its armed
      flag, so the restarted incarnation replays the same sequence number
      unharmed — but a later schedule entry can hit the same shard again
@@ -99,11 +98,12 @@ type t = {
   mk_tel : unit -> Telemetry.t * (unit -> Obs.Event.t list);
   mk_contract : unit -> Contract.t option;
   compile_shard : Telemetry.t -> Contract.t option -> Executor.compiled;
-  driver_reg : Obs.Registry.t;
-      (* driver-side metrics (its own GC deltas): shard registries die with
-         their incarnation, this one spans the run and joins them in every
-         merge *)
-  mutable driver_events : Obs.Event.t list;  (* newest first *)
+  driver : Telemetry.t;
+      (* the driver's own handle, enabled under [instrument]: it records
+         the grid points, checkpoints and supervision events. Shard
+         registries die with their incarnation; this one spans the run and
+         joins them in every merge *)
+  driver_events : unit -> Obs.Event.t list;
   mutable merged : (int option * Obs.Event.t) list;
   mutable ran : bool;
 }
@@ -252,6 +252,7 @@ let create ?(config = Executor.Config.default) ?watchdog
         (fun k s -> apply_snapshot s c.Checkpoint.shards.(k))
         shards);
   let driver_contract = Option.map Contract.create contract_config in
+  let driver, driver_events = mk_tel () in
   Option.iter
     (fun ct -> Executor.register_sources ct shards.(0).compiled)
     driver_contract;
@@ -263,7 +264,6 @@ let create ?(config = Executor.Config.default) ?watchdog
     released = Condition.create ();
     release = 0;
     watchdog;
-    instrument;
     kills = List.map (fun k -> (k, Atomic.make true)) kills;
     max_restarts;
     checkpoint;
@@ -274,8 +274,8 @@ let create ?(config = Executor.Config.default) ?watchdog
     mk_tel;
     mk_contract;
     compile_shard;
-    driver_reg = Obs.Registry.create ();
-    driver_events = [];
+    driver;
+    driver_events;
     merged = [];
     ran = false;
   }
@@ -411,30 +411,17 @@ type result = {
 
 let sum_over t f = Array.fold_left (fun acc s -> acc + f s.compiled) 0 t.shards
 let total_data_state t = sum_over t Executor.total_data_state
-let total_punct_state t = sum_over t Executor.total_punct_state
 let total_index_state t = sum_over t Executor.total_index_state
-let total_state_bytes t = sum_over t Executor.total_state_bytes
 
 let shard_breakdowns t =
   Array.map (fun s -> Executor.state_breakdown s.compiled) t.shards
 
-let state_breakdown t =
-  let per = shard_breakdowns t in
-  List.mapi
-    (fun i (b0 : Executor.breakdown) ->
-      Array.fold_left
-        (fun (acc : Executor.breakdown) bl ->
-          let b : Executor.breakdown = List.nth bl i in
-          {
-            acc with
-            Executor.data = acc.Executor.data + b.Executor.data;
-            puncts = acc.Executor.puncts + b.Executor.puncts;
-            index = acc.Executor.index + b.Executor.index;
-            bytes = acc.Executor.bytes + b.Executor.bytes;
-          })
-        { b0 with Executor.data = 0; puncts = 0; index = 0; bytes = 0 }
-        per)
-    per.(0)
+(* One grid part per shard: operators share their sequential names, so the
+   grid sums each over the fleet. *)
+let parts t =
+  Array.to_list (Array.map (fun s -> Executor.part s.compiled) t.shards)
+
+let state_breakdown t = Grid.breakdown (parts t)
 
 let alarms t =
   match t.watchdog with Some w -> Obs.Watchdog.alarms w | None -> []
@@ -457,7 +444,8 @@ let shard_registry_view (s : shard) =
    aggregation, histograms merge — the same fold {!report} publishes. *)
 let merged_registry t =
   Obs.Registry.merged
-    (t.driver_reg :: (Array.to_list t.shards |> List.map shard_registry_view))
+    (Telemetry.registry t.driver
+    :: (Array.to_list t.shards |> List.map shard_registry_view))
 
 let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     =
@@ -472,11 +460,11 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   | _ -> ());
   widen_minor_arena ~shards:(Array.length t.shards);
   let n = Array.length t.shards in
-  let metrics = Metrics.create ~sample_every () in
-  let emit_driver e =
-    if t.instrument then t.driver_events <- e :: t.driver_events
+  let grid =
+    Grid.start ?exporter ?watchdog:t.watchdog
+      ~registry:(fun () -> merged_registry t)
+      ~sample_every ~label t.driver
   in
-  emit_driver (Obs.Event.Run_start { tick = 0; label });
   Array.iter
     (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s)))
     t.shards;
@@ -553,7 +541,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     let reason = Printexc.to_string cause in
     if s.restarts >= t.max_restarts then begin
       let attempts = s.restarts in
-      emit_driver
+      Telemetry.emit t.driver
         (Obs.Event.Shard_crash
            { tick = !consumed; shard = k; reason; attempt = attempts + 1 });
       abort_all ();
@@ -561,7 +549,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     end;
     s.restarts <- s.restarts + 1;
     let attempt = s.restarts in
-    emit_driver
+    Telemetry.emit t.driver
       (Obs.Event.Shard_crash { tick = !consumed; shard = k; reason; attempt });
     (* bounded exponential backoff before the respawn *)
     Unix.sleepf (0.005 *. float_of_int (1 lsl min (attempt - 1) 6));
@@ -591,7 +579,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
         apply_snapshot s snap;
         s.base_events <- ckpt_events.(k);
         s.base_reg <- ckpt_reg.(k);
-        emit_driver
+        Telemetry.emit t.driver
           (Obs.Event.Restore
              {
                tick = !consumed;
@@ -610,7 +598,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
       :: t.restarts_log;
     let rec replay = function
       | [] ->
-          emit_driver
+          Telemetry.emit t.driver
             (Obs.Event.Shard_restart
                { tick = !consumed; shard = k; attempt; replayed });
           `Ok
@@ -666,7 +654,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
       | Some c -> c.Checkpoint.barrier
       | None -> 0)
   in
-  let grid = ref 0 in
+  let grid_points = ref 0 in
   let quiesce () =
     incr barrier_id;
     let id = !barrier_id in
@@ -771,9 +759,9 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
             s.history_elems <- 0;
             s.history_bytes <- 0)
           t.shards;
-        Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
-          "checkpoint_bytes" bytes;
-        emit_driver
+        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "checkpoint_bytes"
+          bytes;
+        Telemetry.emit t.driver
           (Obs.Event.Checkpoint
              {
                tick;
@@ -786,45 +774,6 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   let emitted_total () =
     Array.fold_left (fun acc (s : shard) -> acc + s.emitted) 0 t.shards
   in
-  (* Mirror of Executor.run's [sample]: one global Sample event, then one
-     watchdog observation per operator with its state summed across
-     shards under the sequential operator names — so an unsafe plan trips
-     the same alarms at the same ticks. Callable only while quiescent. *)
-  let sample_and_watch ~tick =
-    if t.instrument then
-      emit_driver
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state t;
-             punct_state = total_punct_state t;
-             index_state = total_index_state t;
-             state_bytes = total_state_bytes t;
-             emitted = emitted_total ();
-           });
-    match t.watchdog with
-    | None -> ()
-    | Some w ->
-        List.iter
-          (fun (b : Executor.breakdown) ->
-            match
-              Obs.Watchdog.observe w ~op:b.op_name ~tick ~size:b.data
-                ~unreachable:
-                  (Executor.unreachable_inputs t.shards.(0).compiled b.op_name)
-            with
-            | None -> ()
-            | Some (a : Obs.Watchdog.alarm) ->
-                emit_driver
-                  (Obs.Event.Alarm
-                     {
-                       tick = a.tick;
-                       op = a.op;
-                       slope = a.slope;
-                       size = a.size;
-                       unreachable = a.unreachable;
-                     }))
-          (state_breakdown t)
-  in
   (* Replay-log accounting, only when checkpointing is armed (the gauges
      would otherwise break sequential/sharded metric-family parity). The
      gauges are set at every grid point, so a scrape sees the healthy
@@ -833,35 +782,24 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     match t.checkpoint with
     | None -> ()
     | Some _ ->
-        Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
-          "history_len" (history_elems t);
-        Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
-          "history_bytes" (history_bytes t)
+        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "history_len"
+          (history_elems t);
+        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "history_bytes"
+          (history_bytes t)
   in
   (* The watchdog must not see the raw saw-tooth (its slope detector
      would flag the healthy between-cut climb), so it watches the log's
      *excess over one checkpoint interval* — identically zero while cuts
-     keep truncating, climbing monotonically the moment they stall. *)
+     keep truncating, climbing monotonically the moment they stall. It
+     watches the largest shard's log: a broadcast element sits in every
+     shard's log, so only a single shard's log holds each input element at
+     most once and stays under the interval. *)
   let watch_history ~interval ~tick =
-    match t.watchdog with
-    | None -> ()
-    | Some w -> (
-        match
-          Obs.Watchdog.observe w ~op:"replay_history" ~tick
-            ~size:(max 0 (history_elems t - interval))
-            ~unreachable:[]
-        with
-        | None -> ()
-        | Some (a : Obs.Watchdog.alarm) ->
-            emit_driver
-              (Obs.Event.Alarm
-                 {
-                   tick = a.tick;
-                   op = a.op;
-                   slope = a.slope;
-                   size = a.size;
-                   unreachable = a.unreachable;
-                 }))
+    let longest =
+      Array.fold_left (fun acc s -> max acc s.history_elems) 0 t.shards
+    in
+    Grid.watch grid ~tick ~op:"replay_history"
+      ~size:(max 0 (longest - interval))
   in
   (* Contract checks on the barrier grid, mirroring Executor.run's: the
      driver (which sees the whole input) checks punctuation-progress
@@ -871,8 +809,8 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     (match t.driver_contract with
     | Some ct ->
         ignore
-          (Contract.check_stalls ct ~emit:emit_driver ?watchdog:t.watchdog
-             ~tick ())
+          (Contract.check_stalls ct ~emit:(Telemetry.emit t.driver)
+             ?watchdog:t.watchdog ~tick ())
     | None -> ());
     Array.iter
       (fun (s : shard) ->
@@ -884,80 +822,6 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
                  ())
         | None -> ())
       t.shards
-  in
-  (* Live observability at the quiesced grid points (workers parked, so
-     reading shard state and registries is safe): per-shard per-operator
-     state gauges — Sum-merged, so the fleet total is what a scrape sees —
-     driver-side GC deltas into the run-spanning driver registry, and (with
-     an exporter) one rendered snapshot of the merged registry published to
-     the endpoint. Same registry entries as the sequential plane, so a
-     [--shards n] scrape exposes the same series names. *)
-  let prev_snapshot = ref None in
-  let prev_gc = ref (Gc.quick_stat ()) in
-  let observe_plane ~tick =
-    if t.instrument then begin
-      Array.iter
-        (fun (s : shard) ->
-          List.iter
-            (fun (b : Executor.breakdown) ->
-              let set suffix v =
-                Telemetry.set_gauge ~agg:Obs.Counters.Sum s.tel
-                  (b.Executor.op_name ^ "." ^ suffix) v
-              in
-              set "data_state" b.Executor.data;
-              set "punct_state" b.Executor.puncts;
-              set "index_state" b.Executor.index;
-              set "state_bytes" b.Executor.bytes)
-            (Executor.state_breakdown s.compiled))
-        t.shards;
-      (* Driver-domain GC only: in OCaml 5 [Gc.quick_stat] reads the
-         calling domain's allocation counters, and the workers are parked —
-         this tracks the orchestration side's churn, labelled identically
-         to the sequential counters so dashboards need one query. *)
-      let s = Gc.quick_stat () in
-      let p = !prev_gc in
-      prev_gc := s;
-      let dw f = max 0 (int_of_float (f s -. f p)) in
-      let di f = max 0 (f s - f p) in
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.minor_words))
-        t.driver_reg "gc_minor_words";
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.promoted_words))
-        t.driver_reg "gc_promoted_words";
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.major_words))
-        t.driver_reg "gc_major_words";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.minor_collections))
-        t.driver_reg "gc_minor_collections";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.major_collections))
-        t.driver_reg "gc_major_collections";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.compactions))
-        t.driver_reg "gc_compactions";
-      Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
-        "gc_heap_words" s.heap_words
-    end;
-    match exporter with
-    | None -> ()
-    | Some ex ->
-        let snap =
-          Obs.Snapshot.capture ?prev:!prev_snapshot ~tick (merged_registry t)
-        in
-        prev_snapshot := Some snap;
-        Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-  in
-  let observe_metrics
-      (record :
-        Metrics.t ->
-        tick:int ->
-        data_state:int ->
-        punct_state:int ->
-        ?index_state:int ->
-        ?state_bytes:int ->
-        emitted:int ->
-        unit ->
-        unit) ~tick =
-    record metrics ~tick ~data_state:(total_data_state t)
-      ~punct_state:(total_punct_state t)
-      ~index_state:(total_index_state t)
-      ~state_bytes:(total_state_bytes t) ~emitted:(emitted_total ()) ()
   in
   let body () =
     Seq.iter
@@ -974,21 +838,23 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
               send k (seq, el)
             done);
         if !consumed mod sample_every = 0 then begin
+          (* Workers are parked from [quiesce] to [release], so reading
+             and shedding shard state here is safe. *)
           quiesce ();
-          observe_metrics Metrics.observe ~tick:!consumed;
           contract_checks ~tick:!consumed;
-          sample_and_watch ~tick:!consumed;
-          incr grid;
+          Grid.sample grid ~tick:!consumed ~emitted:(emitted_total ())
+            (parts t);
+          incr grid_points;
           (match t.checkpoint with
           | Some cfg ->
-              if !grid mod cfg.Checkpoint.every = 0 then
+              if !grid_points mod cfg.Checkpoint.every = 0 then
                 take_checkpoint ~tick:!consumed;
               watch_history
                 ~interval:(cfg.Checkpoint.every * sample_every)
                 ~tick:!consumed
           | None -> ());
           observe_history ();
-          observe_plane ~tick:!consumed;
+          Grid.publish grid ~tick:!consumed;
           release ()
         end)
       elements;
@@ -1022,12 +888,9 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
         torn down before the exception escapes. *)
      abort_all ();
      raise e);
-  observe_metrics Metrics.flush ~tick:!consumed;
   contract_checks ~tick:!consumed;
-  sample_and_watch ~tick:!consumed;
   observe_history ();
-  observe_plane ~tick:!consumed;
-  emit_driver (Obs.Event.Run_end { tick = !consumed; emitted = emitted_total () });
+  Grid.finish grid ~tick:!consumed ~emitted:(emitted_total ()) (parts t);
   (* Committed chunks (one per checkpoint, ascending within and across
      chunks — every pre-cut batch was drained at its cut) precede the
      still-live tail, which holds only post-cut sequence numbers. *)
@@ -1043,7 +906,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     List.concat (List.rev (live_outputs :: !committed))
     |> List.map (fun (_, _, _, el) -> el)
   in
-  if t.instrument then begin
+  if Telemetry.enabled t.driver then begin
     (* Merged trace order: tick, then shard, then per-shard emission
        index; driver events sort after every worker event of their tick
        (a Sample describes the tick's *completed* state). A shard restored
@@ -1057,7 +920,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
                (s.base_events @ s.events_of ()))
     in
     let driver =
-      List.rev t.driver_events
+      t.driver_events ()
       |> List.mapi (fun i e -> (Obs.Event.tick_of e, max_int, i, None, e))
     in
     t.merged <-
@@ -1068,90 +931,33 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
       |> List.map (fun (_, _, _, tag, e) -> (tag, e))
   end;
   Array.iter (fun s -> Telemetry.close s.tel) t.shards;
-  { outputs; metrics; consumed = !consumed; emitted = emitted_total () }
+  {
+    outputs;
+    metrics = Grid.metrics grid;
+    consumed = !consumed;
+    emitted = emitted_total ();
+  }
 
 let report ?(meta = []) t (r : result) =
-  let c0 = t.shards.(0).compiled in
-  let per_shard_ops =
-    Array.map (fun s -> Executor.operators ~c:s.compiled) t.shards
-  in
-  let sum_alists alists =
-    match alists with
-    | [] -> []
-    | first :: rest ->
-        List.fold_left
-          (fun acc alist -> List.map2 (fun (k, v) (_, v') -> (k, v + v')) acc alist)
-          first rest
-  in
-  let operators =
-    List.mapi
-      (fun i (op0 : Operator.t) ->
-        let nth_op ops : Operator.t = List.nth ops i in
-        let stats =
-          Array.to_list per_shard_ops
-          |> List.map (fun ops ->
-                 Operator.stats_to_alist ((nth_op ops).Operator.stats ()))
-          |> sum_alists
-        in
-        let sum_state f =
-          Array.fold_left (fun acc ops -> acc + f (nth_op ops)) 0 per_shard_ops
-        in
-        {
-          Obs.Report.name = op0.Operator.name;
-          inputs = op0.Operator.input_names;
-          unreachable_inputs =
-            Executor.unreachable_inputs c0 op0.Operator.name;
-          stats;
-          state =
-            [
-              ("data", sum_state (fun op -> op.Operator.data_state_size ()));
-              ("puncts", sum_state (fun op -> op.Operator.punct_state_size ()));
-              ("index", sum_state (fun op -> op.Operator.index_state_size ()));
-              ("bytes", sum_state (fun op -> op.Operator.state_bytes ()));
-            ];
-        })
-      (Executor.operators ~c:c0)
-  in
+  (* The driver's contract counts only stalls, the shards' everything
+     else, so summing all of them is the fleet's summary. *)
   let contract_meta =
     match t.contract_config with
     | None -> []
     | Some _ ->
-        let sum f =
-          Array.fold_left
-            (fun acc s ->
-              acc + match s.contract with Some c -> f c | None -> 0)
-            0 t.shards
+        let shards =
+          List.filter_map (fun s -> s.contract) (Array.to_list t.shards)
         in
-        let stalls =
-          match t.driver_contract with
-          | Some c -> Contract.stall_count c
-          | None -> 0
-        in
-        [
-          ( "contract",
-            Obs.Json.Obj
-              [
-                ("late_tuples", Obs.Json.Int (sum Contract.late_count));
-                ("dup_puncts", Obs.Json.Int (sum Contract.dup_count));
-                ("punct_stalls", Obs.Json.Int stalls);
-                ("quarantined", Obs.Json.Int (sum Contract.quarantined_count));
-                ( "quarantine_overflow",
-                  Obs.Json.Int (sum Contract.quarantine_overflow) );
-                ("shed_tuples", Obs.Json.Int (sum Contract.shed_count));
-              ] );
-        ]
+        let all = Option.to_list t.driver_contract @ shards in
+        [ ("contract", Obs.Json.Obj (Contract.meta_counters all)) ]
   in
-  {
-    Obs.Report.meta =
-      (("shards", Obs.Json.Int (n_shards t)) :: meta)
+  Grid.report
+    ~meta:
+      ((("shards", Obs.Json.Int (n_shards t)) :: meta)
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
           ("shard_crashes", Obs.Json.Int (crash_count t));
         ]
-      @ contract_meta;
-    operators;
-    registry = merged_registry t;
-    series = Executor.series_json r.metrics;
-    alarms = alarms t;
-  }
+      @ contract_meta)
+    ~registry:(merged_registry t) ~alarms:(alarms t) (parts t) r.metrics

@@ -157,19 +157,19 @@ type result = {
   emitted : int;  (** data tuples across all shards *)
 }
 
-(** [run ?sample_every ?label t elements] — one shot per [t]: drives the
-    worker domains to completion and joins them. Ticks count every input
-    element (as {!Executor.run} does), and sampling happens at global
-    barriers on the [sample_every] grid: the driver quiesces all shards,
-    reads their state, feeds metrics, the watchdog and the contract
-    checks, then releases them.
+(** [run ?sample_every ?label ?exporter ?on_commit t elements] — one shot
+    per [t]: drives the worker domains to completion and joins them. Ticks
+    count every input element (as {!Executor.run} does), and sampling
+    happens at global barriers on the [sample_every] grid: the driver
+    quiesces all shards, runs the contract checks, records the same
+    {!Grid} point a sequential run does (one part per shard, so each
+    operator's state is summed over the fleet), then releases them.
 
-    Under [instrument] the quiesced grid points also maintain the live
-    observability plane: per-shard per-operator state gauges (Sum-merged
-    across shards) and driver-side GC-delta counters. [exporter], when
-    given, receives one rendered {!Obs.Openmetrics} snapshot of the merged
-    registry per grid point — the same series names a sequential run
-    exports.
+    Under [instrument] the driver's own telemetry handle receives the
+    grid's events, state gauges and driver-domain GC counters.
+    [exporter], when given, receives one rendered {!Obs.Openmetrics}
+    snapshot of the merged registry per grid point — the same series names
+    a sequential run exports.
 
     [on_commit], with checkpointing armed, streams each cut's committed
     outputs to the caller instead of retaining them (the soak harness
@@ -205,9 +205,7 @@ val alarms : t -> Obs.Watchdog.alarm list
     (after [run], or inside a barrier). *)
 val total_data_state : t -> int
 
-val total_punct_state : t -> int
 val total_index_state : t -> int
-val total_state_bytes : t -> int
 
 (** [state_breakdown t] — per-operator state summed across shards, in the
     sequential operator order. *)

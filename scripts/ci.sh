@@ -114,6 +114,24 @@ if ! cmp -s "$OBS_TMP/fam_seq.txt" "$OBS_TMP/fam_sh.txt"; then
   exit 1
 fi
 
+# A multi-query run records the same grid point: its mid-run scrape must
+# carry the same required families (GC included) and stay within the
+# catalog.
+MQ_SOCK="$OBS_TMP/metrics_mq.sock"
+./_build/default/bin/pstream_run.exe --query examples/star_rst.query \
+  --query examples/star_rsu.query --rounds 2500 --sample 100 \
+  --listen "unix:$MQ_SOCK" > "$OBS_TMP/live_mq_out.txt" 2>&1 &
+LIVE_PID=$!
+if ! live_scrape "$MQ_SOCK" "$OBS_TMP/scrape_mq.txt"; then
+  echo "never got a valid mid-run scrape from the multi-query exporter" >&2
+  kill "$LIVE_PID" 2>/dev/null || true
+  exit 1
+fi
+wait "$LIVE_PID" || {
+  echo "the exporting multi-query run did not exit 0" >&2
+  exit 1
+}
+
 # Forced unsafe run: still consistent, and the watchdog must raise an
 # alarm naming a purge-unreachable input (pstream-run exits 3 on alarm).
 set +e
@@ -389,6 +407,20 @@ for mode in mq_noshare mq_shards; do
   if ! cmp -s "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_$mode.txt"; then
     echo "multi-query hash mismatch (shared vs $mode):" >&2
     diff "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_$mode.txt" >&2 || true
+    exit 1
+  fi
+done
+
+# The sharded multi-query driver runs uninstrumented: it must refuse the
+# telemetry flags (exit 1) rather than silently write nothing.
+for flag in "--report $OBS_TMP/mq_sh_report.json" \
+  "--trace $OBS_TMP/mq_sh_trace.jsonl" "--listen unix:$OBS_TMP/mq_sh.sock"; do
+  set +e
+  dune exec bin/pstream_run.exe -- $MQ_ARGS --shards 4 $flag > /dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ]; then
+    echo "expected exit 1 from --shards 4 $flag in multi-query mode, got $status" >&2
     exit 1
   fi
 done

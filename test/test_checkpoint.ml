@@ -212,6 +212,44 @@ let test_checkpoint_is_transparent () =
   check_bool "retained history bounded by one interval" true
     (Parallel_executor.history_elems pe <= 100)
 
+(* The replay-log watchdog must not count a broadcast element once per
+   shard: watermark punctuations broadcast, so the shards' logs summed
+   exceed one checkpoint interval while every single log stays under it.
+   Safe query, cuts every 4 grid points: no replay_history alarm. *)
+let test_broadcast_does_not_trip_replay_watch () =
+  let q =
+    Query.Parser.parse
+      "stream S1(A:int, B:int)\n\
+       stream S2(B:int, C:int)\n\
+       stream S3(C:int, A:int)\n\
+       scheme S1(_, ^)\n\
+       scheme S2(_, ^)\n\
+       scheme S3(_, ^)\n\
+       join S1.B = S2.B\n\
+       join S2.C = S3.C\n\
+       join S3.A = S1.A\n"
+  in
+  let trace =
+    Synth.round_trace q
+      {
+        Synth.rounds = 200;
+        tuples_per_round = 5;
+        punct_lag = 10;
+        trace_seed = 42;
+      }
+  in
+  let pe =
+    Parallel_executor.create ~shards:2 ~watchdog:(Obs.Watchdog.create ())
+      ~checkpoint:(Checkpoint.config ~every:4 ())
+      q
+      (Plan.mjoin [ "S1"; "S2"; "S3" ])
+  in
+  ignore (Parallel_executor.run ~sample_every:200 pe (List.to_seq trace));
+  check_bool "no replay_history alarm" false
+    (List.exists
+       (fun (a : Obs.Watchdog.alarm) -> a.op = "replay_history")
+       (Parallel_executor.alarms pe))
+
 let test_kill_storm_bounded_replay () =
   (* Three kills — two of them on the same shard — with checkpoints every
      2 grid points (sample 50): every restart must restore from a cut and
@@ -448,6 +486,8 @@ let () =
             test_kill_storm_bounded_replay;
           Alcotest.test_case "kill schedule deterministic" `Quick
             test_kill_schedule_is_deterministic;
+          Alcotest.test_case "broadcast does not trip the replay watch" `Quick
+            test_broadcast_does_not_trip_replay_watch;
         ] );
       ( "durable",
         [

@@ -620,6 +620,82 @@ let test_sharded_gauge_sum () =
     breakdown.Executor.data
     (Obs.Registry.gauge reg "J1.data_state")
 
+(* Every execution mode records the same grid point: a sequential
+   triangle, a 2-shard triangle and a two-query star run each leave the
+   GC families and the four state gauges of every operator in their
+   registry. *)
+let test_grid_family_parity () =
+  let check_families mode reg ops =
+    let counters = Obs.Registry.counters reg in
+    List.iter
+      (fun c ->
+        check_bool (mode ^ ": counter " ^ c) true
+          (List.mem c (Obs.Counters.counter_names counters)))
+      [
+        "gc_minor_words";
+        "gc_promoted_words";
+        "gc_major_words";
+        "gc_minor_collections";
+        "gc_major_collections";
+        "gc_compactions";
+      ];
+    let gauges = List.map fst (Obs.Counters.gauges_to_alist counters) in
+    List.iter
+      (fun g -> check_bool (mode ^ ": gauge " ^ g) true (List.mem g gauges))
+      ("gc_heap_words"
+      :: List.concat_map
+           (fun (o : Obs.Report.operator_entry) ->
+             List.map
+               (fun m -> o.name ^ "." ^ m)
+               [ "data_state"; "punct_state"; "index_state"; "state_bytes" ])
+           ops)
+  in
+  let q = fig5_query () in
+  let plan = Plan.mjoin [ "S1"; "S2"; "S3" ] in
+  let trace = triangle_trace ~rounds:40 q in
+  let telemetry = Telemetry.create () in
+  let c = Executor.compile ~config:(Executor.Config.make ~telemetry ()) q plan in
+  let r = Executor.run ~sample_every:25 c (List.to_seq trace) in
+  check_families "sequential" (Telemetry.registry telemetry)
+    (Executor.report c r).Obs.Report.operators;
+  let pexec =
+    Engine.Parallel_executor.create ~instrument:true ~shards:2 q plan
+  in
+  let pr =
+    Engine.Parallel_executor.run ~sample_every:25 pexec (List.to_seq trace)
+  in
+  let rep = Engine.Parallel_executor.report pexec pr in
+  check_families "2 shards" rep.Obs.Report.registry rep.Obs.Report.operators;
+  let star third =
+    Query.Parser.parse
+      (Printf.sprintf
+         "stream R(K:int, A:int)\nstream S(K:int, B:int)\n\
+          stream %s(K:int, C:int)\nscheme R(+, _)\nscheme S(+, _)\n\
+          scheme %s(+, _)\njoin R.K = S.K\njoin S.K = %s.K\n"
+         third third third)
+  in
+  let registry =
+    Query.Query_registry.create
+      [
+        { Query.Query_registry.qid = "star_rst"; query = star "T" };
+        { Query.Query_registry.qid = "star_rsu"; query = star "U" };
+      ]
+  in
+  let telemetry = Telemetry.create () in
+  let m =
+    Engine.Multi_executor.create
+      ~config:(Executor.Config.make ~telemetry ())
+      registry
+  in
+  let mtrace =
+    Workload.Synth.round_trace_defs
+      (Engine.Multi_executor.stream_defs m)
+      { Workload.Synth.default_trace_config with rounds = 40 }
+  in
+  let mr = Engine.Multi_executor.run ~sample_every:25 m (List.to_seq mtrace) in
+  check_families "multi-query" (Telemetry.registry telemetry)
+    (Engine.Multi_executor.report m mr).Obs.Report.operators
+
 (* ------------------------------------------------------------------ *)
 (* Histogram properties *)
 
@@ -953,6 +1029,8 @@ let () =
             test_gauge_agg_merge;
           Alcotest.test_case "4-shard state gauges sum" `Quick
             test_sharded_gauge_sum;
+          Alcotest.test_case "same families in every mode" `Quick
+            test_grid_family_parity;
         ] );
       ( "histogram properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1,7 +1,7 @@
-(* Tests for the punctuation-proven outer-join family (Outer_join and the
-   Antijoin veneer): the three anti-join correctness regressions — held
-   punctuation forwarding, end-of-stream flush release, dead-on-arrival
-   purge accounting — the LEFT/RIGHT/FULL/ANTI semantics themselves, the
+(* Tests for the punctuation-proven outer-join family (Outer_join): the
+   three anti-join correctness regressions — held punctuation
+   forwarding, end-of-stream flush release, dead-on-arrival purge
+   accounting — the LEFT/RIGHT/FULL/ANTI semantics themselves, the
    checker's per-variant verdicts, batch/element equivalence, telemetry
    replay exactness, and sharded-equals-sequential at every shard count. *)
 
@@ -13,7 +13,6 @@ module Stream_def = Streams.Stream_def
 module Cjq = Query.Cjq
 module Plan = Query.Plan
 module Checker = Core.Checker
-module Antijoin = Engine.Antijoin
 module Outer_join = Engine.Outer_join
 module Window_join = Engine.Window_join
 module Executor = Engine.Executor
@@ -32,13 +31,13 @@ let punct schema bindings =
 
 let b_pred = [ Predicate.atom "S1" "B" "S2" "B" ]
 
-let anti () = Antijoin.create ~left:s1 ~right:s2 ~predicates:b_pred ()
-
 let outer semantics =
   Outer_join.create ~semantics
     ~left:{ Outer_join.name = "S1"; schema = s1; schemes = [] }
     ~right:{ Outer_join.name = "S2"; schema = s2; schemes = [] }
     ~predicates:b_pred ()
+
+let anti () = outer Outer_join.Anti
 
 let push (op : Engine.Operator.t) e = op.Engine.Operator.push e
 let flush (op : Engine.Operator.t) = op.Engine.Operator.flush ()

@@ -270,10 +270,16 @@ let test_union_watermark_min_rule () =
 (* ------------------------------------------------------------------ *)
 (* Antijoin *)
 
+(* The anti semi-join is the [Anti] member of the outer-join family. *)
+let anti_of ~left ~right ~predicates =
+  let side schema =
+    { Engine.Outer_join.name = Schema.stream_name schema; schema; schemes = [] }
+  in
+  Engine.Outer_join.create ~semantics:Engine.Outer_join.Anti ~left:(side left)
+    ~right:(side right) ~predicates ()
+
 let anti () =
-  Engine.Antijoin.create ~left:s1 ~right:s2
-    ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
-    ()
+  anti_of ~left:s1 ~right:s2 ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
 
 let test_antijoin_blocks_without_punctuation () =
   let op = anti () in
@@ -335,10 +341,9 @@ let test_antijoin_auction_unsold_items () =
   let cfg = { Workload.Auction.default_config with n_items = 60; bids_per_item = 3 } in
   let trace = Workload.Auction.trace cfg in
   let op =
-    Engine.Antijoin.create ~left:Workload.Auction.item_schema
+    anti_of ~left:Workload.Auction.item_schema
       ~right:Workload.Auction.bid_schema
       ~predicates:[ Predicate.atom "item" "itemid" "bid" "itemid" ]
-      ()
   in
   let unsold = ref 0 in
   List.iter
