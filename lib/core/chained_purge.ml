@@ -8,9 +8,7 @@ type step = { target : string; scheme : Scheme.t; pins : pin list }
 
 type plan = { root : string; steps : step list }
 
-let derive names preds schemes ~root =
-  let gpg = Gpg.of_streams names preds schemes in
-  let edges = Gpg.edges gpg in
+let derive_in edges names preds ~root =
   let source_attr_for ~target ~attr ~source =
     let atom =
       List.find
@@ -58,6 +56,13 @@ let derive names preds schemes ~root =
   if List.length pinned = List.length names then Some { root; steps }
   else None
 
+let derive names preds schemes ~root =
+  derive_in (Gpg.edges (Gpg.of_streams names preds schemes)) names preds ~root
+
+let derive_all names preds schemes =
+  let edges = Gpg.edges (Gpg.of_streams names preds schemes) in
+  List.map (fun root -> (root, derive_in edges names preds ~root)) names
+
 (* Cartesian product of per-pin value choices. *)
 let combos_of per_pin =
   List.fold_right
@@ -67,58 +72,82 @@ let combos_of per_pin =
         values)
     per_pin [ [] ]
 
-let walk plan ~states ~root_tuple ~on_step =
-  let root_schema = Tuple.schema root_tuple in
-  let root_rel = Relation.make root_schema [ root_tuple ] in
+(* δ_attr over a tuple list, first occurrence first (as
+   {!Relation.distinct_project}). *)
+let distinct_values tuples attr =
+  match tuples with
+  | [] -> []
+  | [ t ] -> [ Tuple.get_named t attr ]
+  | t :: _ ->
+      let i = Schema.attr_index (Tuple.schema t) attr in
+      let seen = Hashtbl.create 8 in
+      List.filter_map
+        (fun tup ->
+          let v = Tuple.get tup i in
+          if Hashtbl.mem seen v then None
+          else begin
+            Hashtbl.add seen v ();
+            Some v
+          end)
+        tuples
+
+type joinable = step -> (pin * Value.t list) list -> Tuple.t list
+
+let joinable_in states step per_pin =
+  Relation.filter
+    (fun x ->
+      List.for_all
+        (fun (pin, values) ->
+          let v = Tuple.get_named x pin.attr in
+          List.exists (Value.equal v) values)
+        per_pin)
+    (states step.target)
+  |> Relation.tuples
+
+let walk plan ~joinable ~root_tuple ~on_step =
   let pinned = Hashtbl.create 8 in
-  Hashtbl.add pinned plan.root root_rel;
-  List.iter
-    (fun step ->
-      let per_pin =
-        List.map
-          (fun pin ->
-            let rel = Hashtbl.find pinned pin.source in
-            let values =
-              Relation.distinct_project rel [ pin.source_attr ]
-              |> List.filter_map (function [ v ] -> Some v | _ -> None)
-            in
-            (pin, values))
-          step.pins
-      in
-      let combos =
-        combos_of (List.map (fun (pin, vs) -> (pin.attr, vs)) per_pin)
-        (* an empty value set yields no combos: the chain is already cut *)
-        |> List.filter (fun c -> c <> [])
-      in
-      on_step step combos;
-      (* T_t[Υ_target]: joinable tuples of the target under the product
-         approximation of the chain semijoin. *)
-      let target_state = states step.target in
-      let joinable =
-        Relation.filter
-          (fun x ->
-            List.for_all
-              (fun (pin, values) ->
-                let v = Tuple.get_named x pin.attr in
-                List.exists (Value.equal v) values)
-              per_pin)
-          target_state
-      in
-      Hashtbl.replace pinned step.target joinable)
-    plan.steps
+  Hashtbl.add pinned plan.root [ root_tuple ];
+  let rec go = function
+    | [] -> ()
+    | step :: later ->
+        let per_pin =
+          List.map
+            (fun pin ->
+              let tuples = Hashtbl.find pinned pin.source in
+              (pin, distinct_values tuples pin.source_attr))
+            step.pins
+        in
+        let combos =
+          combos_of (List.map (fun (pin, vs) -> (pin.attr, vs)) per_pin)
+          (* an empty value set yields no combos: the chain is already cut *)
+          |> List.filter (fun c -> c <> [])
+        in
+        on_step step combos;
+        (* T_t[Υ_target]: joinable tuples of the target under the product
+           approximation of the chain semijoin — only needed when a later
+           step pins from it. *)
+        if
+          List.exists
+            (fun s -> List.exists (fun p -> p.source = step.target) s.pins)
+            later
+        then Hashtbl.replace pinned step.target (joinable step per_pin);
+        go later
+  in
+  go plan.steps
 
 let required_punctuations plan ~states ~root_tuple =
   let acc = ref [] in
-  walk plan ~states ~root_tuple ~on_step:(fun step combos ->
+  walk plan ~joinable:(joinable_in states) ~root_tuple
+    ~on_step:(fun step combos ->
       let puncts = List.map (Scheme.instantiate step.scheme) combos in
       acc := (step.target, puncts) :: !acc);
   List.rev !acc
 
 exception Not_purgeable
 
-let tuple_purgeable plan ~states ~covered ~root_tuple =
+let tuple_purgeable plan ~joinable ~covered ~root_tuple =
   try
-    walk plan ~states ~root_tuple ~on_step:(fun step combos ->
+    walk plan ~joinable ~root_tuple ~on_step:(fun step combos ->
         let schema = Scheme.schema step.scheme in
         List.iter
           (fun combo ->

@@ -39,6 +39,25 @@ val derive :
   root:string ->
   plan option
 
+(** [derive_all names preds schemes] is [derive ~root] for every root in
+    [names], in order, from one GPG. *)
+val derive_all :
+  string list ->
+  Relational.Predicate.t ->
+  Streams.Scheme.Set.t ->
+  (string * plan option) list
+
+(** [joinable step per_pin] — the tuples of [step.target]'s state whose
+    every pinned attribute takes one of the pin's values ([T_t[Υ_target]]
+    under the product approximation). A walk calls it only for targets
+    that a later step pins from. *)
+type joinable =
+  step -> (pin * Relational.Value.t list) list -> Relational.Tuple.t list
+
+(** [joinable_in states] — {!joinable} by filtering the finite relation
+    [states target]. *)
+val joinable_in : (string -> Relational.Relation.t) -> joinable
+
 (** [required_punctuations plan ~states ~root_tuple] is §3.2's
     [P_t[S_i]] for every step: the concrete punctuations that, if they all
     arrived, would prove [root_tuple] dead. [states] maps each non-root
@@ -49,14 +68,15 @@ val required_punctuations :
   root_tuple:Relational.Tuple.t ->
   (string * Streams.Punctuation.t list) list
 
-(** [tuple_purgeable plan ~states ~covered ~root_tuple] decides whether
+(** [tuple_purgeable plan ~joinable ~covered ~root_tuple] decides whether
     every required punctuation is already covered: [covered ~stream
     bindings] must answer "does some received punctuation of [stream]
     guarantee no future tuple matches [bindings]?" (attribute-index /
-    value pairs). *)
+    value pairs). Join states are read through [joinable]
+    ({!joinable_in} over relations, index probes in the engine). *)
 val tuple_purgeable :
   plan ->
-  states:(string -> Relational.Relation.t) ->
+  joinable:joinable ->
   covered:(stream:string -> (int * Relational.Value.t) list -> bool) ->
   root_tuple:Relational.Tuple.t ->
   bool

@@ -43,6 +43,7 @@ let check ?(method_ = Tpg) ?schemes query =
   let pg = Punctuation_graph.of_query ~schemes query in
   let gpg = Gpg.of_query ~schemes query in
   let tpg = Tpg.of_query ~schemes query in
+  let plans = Chained_purge.derive_all names preds schemes in
   let streams =
     List.map
       (fun stream ->
@@ -53,10 +54,7 @@ let check ?(method_ = Tpg) ?schemes query =
             names
         in
         let purgeable = unreached = [] in
-        let purge_plan =
-          if purgeable then Chained_purge.derive names preds schemes ~root:stream
-          else None
-        in
+        let purge_plan = if purgeable then List.assoc stream plans else None in
         { stream; purgeable; purge_plan; unreached })
       names
   in

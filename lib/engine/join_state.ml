@@ -191,6 +191,8 @@ let find_or_build_index (t : t) attrs =
   | None -> build_index t attrs
 
 let index_on t ~attr = find_or_build_index t [ attr ]
+let find_index (t : t) ~attr =
+  List.find_opt (fun i -> i.attrs = [ attr ]) t.indexes
 
 (* Purge maintains the indexes eagerly, so every id should be live; keep
    the compaction as a defensive sweep and never leave an empty bucket
@@ -290,13 +292,48 @@ let probe_entries_handle (t : t) (idx : index) v =
       | _ -> [])
   | Generic _ -> probe_entries_index t idx [ v ]
 
+(* Id-level probe for the incremental purge: the ids of the live tuples in
+   [v]'s bucket, with their tuples. *)
+let probe_ids (t : t) (idx : index) v =
+  let ids =
+    match idx.buckets, v with
+    | _, Value.Null -> None
+    | Int1 tbl, Value.Int k -> Hashtbl.find_opt tbl k
+    | Int1 _, _ -> None
+    | Generic tbl, v -> KeyTbl.find_opt tbl [ v ]
+  in
+  match ids with
+  | None -> []
+  | Some ids ->
+      List.filter_map
+        (fun id ->
+          match Hashtbl.find_opt t.live id with
+          | Some (_, tup) -> Some (id, tup)
+          | None -> None)
+        !ids
+
+let find t id = Option.map snd (Hashtbl.find_opt t.live id)
+
+let remove t ids =
+  let victims =
+    List.filter_map
+      (fun id ->
+        match Hashtbl.find_opt t.live id with
+        | Some (_, tup) ->
+            Hashtbl.remove t.live id;
+            Some (id, tup)
+        | None -> None)
+      ids
+  in
+  remove_from_indexes t victims;
+  List.length victims
+
+let iteri f t = Hashtbl.iter (fun id (_, tup) -> f id tup) t.live
 let iter f t = Hashtbl.iter (fun _ (_, tup) -> f tup) t.live
 let fold f init t = Hashtbl.fold (fun _ (_, tup) acc -> f acc tup) t.live init
 
 let fold_entries f init t =
   Hashtbl.fold (fun _ (tick, tup) acc -> f acc tick tup) t.live init
-
-let to_relation t = Relation.make t.schema (fold (fun acc x -> x :: acc) [] t)
 
 let purge_if t pred =
   let victims =

@@ -72,6 +72,10 @@ val probe : t -> attrs:int list -> Relational.Value.t list -> Relational.Tuple.t
     position [attr], as a reusable probe handle. *)
 val index_on : t -> attr:int -> handle
 
+(** [find_index t ~attr] — the single-attribute index on position [attr]
+    if one was already built; never builds one. *)
+val find_index : t -> attr:int -> handle option
+
 (** [probe_handle t h v] — live tuples whose [h]-attribute equals [v];
     [Null] matches nothing. Equivalent to {!probe} on [h]'s attribute but
     without the index search or key-list allocation. *)
@@ -101,9 +105,23 @@ val fold : ('a -> Relational.Tuple.t -> 'a) -> 'a -> t -> 'a
     tick. *)
 val fold_entries : ('a -> int -> Relational.Tuple.t -> 'a) -> 'a -> t -> 'a
 
-(** [to_relation t] — snapshot as a finite relation (chained-purge oracle
-    input). *)
-val to_relation : t -> Relational.Relation.t
+(** Id-level access, for the incremental purge. Ids are insertion ids:
+    [0 .. insertions t - 1], in arrival order; none of these builds an
+    index. *)
+
+(** [iteri f t] — [f id tuple] for every live tuple. *)
+val iteri : (int -> Relational.Tuple.t -> unit) -> t -> unit
+
+(** [find t id] — the live tuple with id [id], if any. *)
+val find : t -> int -> Relational.Tuple.t option
+
+(** [probe_ids t h v] — like {!probe_handle}, with each match's id. *)
+val probe_ids :
+  t -> handle -> Relational.Value.t -> (int * Relational.Tuple.t) list
+
+(** [remove t ids] removes the live tuples among [ids]; returns how many
+    were removed. *)
+val remove : t -> int list -> int
 
 (** [purge_if t keep_if_false] removes every live tuple satisfying the
     predicate; returns how many were removed. *)

@@ -13,22 +13,89 @@ let scheme_set_of inputs =
   Scheme.Set.of_list (List.concat_map (fun i -> i.schemes) inputs)
 
 let purge_plans ~inputs ~predicates =
-  let names = List.map (fun i -> i.name) inputs in
-  let schemes = scheme_set_of inputs in
-  List.map
-    (fun n -> (n, Core.Chained_purge.derive names predicates schemes ~root:n))
-    names
+  Core.Chained_purge.derive_all
+    (List.map (fun i -> i.name) inputs)
+    predicates (scheme_set_of inputs)
 
 (* Per-input runtime state. *)
 type slot = {
   input : input;
   state : Join_state.t;
   puncts : Punct_store.t;
-  plan : Core.Chained_purge.plan option;
   join_idxs : int array;
       (* attribute positions of this input appearing in any join predicate:
          a Null in one of them makes the tuple dead on arrival *)
 }
+
+(* A purge plan compiled against the operator's slots. *)
+type cpin = {
+  pos : int;  (** pinned attribute, in the step target's schema *)
+  src : int;  (** slot supplying the pin's values *)
+  src_pos : int;  (** the supplying attribute, in [src]'s schema *)
+  src_step : int;  (** step whose target is [src]; -1 for the root *)
+  src_index : Join_state.handle option;  (** existing index on [src_pos] *)
+}
+
+type cstep = {
+  step : Core.Chained_purge.step;
+  target : int;
+  cpins : cpin array;  (** in [step.pins] order *)
+  keyed : (int * Join_state.handle) option;
+      (** a pin whose attribute the target already indexes, and the index *)
+}
+
+type cplan = {
+  plan : Core.Chained_purge.plan;
+  csteps : cstep array;
+  step_of : int array;  (** slot -> the step targeting it, or -1 *)
+  root_attrs : int list;  (** root positions the chain reads: memo key *)
+}
+
+(* Which values of a step's first pin a backward walk follows. *)
+type selector = Values of Value.t list | Below of Value.t | All
+
+(* Resolves [plan] against [slots] once the probe programs have built their
+   indexes: purge rounds use those and never build one. *)
+let compile_plan slots slot_ix (plan : Core.Chained_purge.plan) =
+  let schema i = slots.(i).input.schema and state i = slots.(i).state in
+  let step_of = Array.make (Array.length slots) (-1) in
+  List.iteri
+    (fun k (st : Core.Chained_purge.step) -> step_of.(slot_ix st.target) <- k)
+    plan.steps;
+  let compile_step (step : Core.Chained_purge.step) =
+    let target = slot_ix step.target in
+    let cpins =
+      Array.of_list
+        (List.map
+           (fun (pin : Core.Chained_purge.pin) ->
+             let src = slot_ix pin.source in
+             let src_pos = Schema.attr_index (schema src) pin.source_attr in
+             {
+               pos = Schema.attr_index (schema target) pin.attr;
+               src;
+               src_pos;
+               src_step = step_of.(src);
+               src_index = Join_state.find_index (state src) ~attr:src_pos;
+             })
+           step.pins)
+    in
+    let rec keyed k =
+      if k = Array.length cpins then None
+      else
+        match Join_state.find_index (state target) ~attr:cpins.(k).pos with
+        | Some h -> Some (k, h)
+        | None -> keyed (k + 1)
+    in
+    { step; target; cpins; keyed = keyed 0 }
+  in
+  let csteps = Array.of_list (List.map compile_step plan.steps) in
+  let root_attrs =
+    Array.to_list csteps
+    |> List.concat_map (fun cs -> Array.to_list cs.cpins)
+    |> List.filter_map (fun c -> if c.src_step < 0 then Some c.src_pos else None)
+    |> List.sort_uniq Int.compare
+  in
+  { plan; csteps; step_of; root_attrs }
 
 let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     ?(punct_partner_purge = false) ?(telemetry = Telemetry.null) ?contract
@@ -46,8 +113,8 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
           (Fmt.str "Mjoin.create: predicate %a references unknown input"
              Predicate.pp_atom atom))
     predicates;
+  let plans = purge_plans ~inputs ~predicates in
   let slots =
-    let plans = purge_plans ~inputs ~predicates in
     List.map
       (fun input ->
         let join_idxs =
@@ -65,7 +132,6 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
           input;
           state = Join_state.create input.schema;
           puncts = Punct_store.create input.schema;
-          plan = List.assoc input.name plans;
           join_idxs;
         })
       inputs
@@ -91,6 +157,9 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
      push (or on the same batch boundary), so lag is 0; lazy purging
      defers, so lag reflects the flush cadence (§5's cost axis). *)
   let pending_since = ref None in
+  (* The next round re-checks every live tuple: set after a checkpoint
+     restore and after a degrade-mode shed, whose removals no round saw. *)
+  let full_next = ref false in
   (* Emergency evictor for degraded mode: shed roughly a quarter of each
      input's state per round, oldest first by insertion tick — a
      deterministic order, so a sharded run and its recovery replay shed the
@@ -114,6 +183,7 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
                 acc + Join_state.evict_oldest s.state ~count:want)
               0 slots
           in
+          full_next := true;
           (victims, max 0 (before - bytes ()))));
 
   (* --- result assembly ---------------------------------------------- *)
@@ -201,58 +271,204 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
       Telemetry.observe ~n:victims telemetry (name ^ ".purge_lag") lag
     end
   in
-  let purge_round ~trigger =
+  (* Incremental rounds. A root tuple found live stays live until one of
+     its chain's inputs changes in a way that can free it, so a round
+     re-checks only the candidates:
+     (a) roots a punctuation stored since the last round may cover, found
+         by walking the plan back from the punctuated step;
+     (b) roots whose chain lost a tuple since the root was last checked —
+         victims are queued to every slot whose plan reads their input, so
+         later slots see them in the same round and earlier ones in the
+         next, as a slot-ordered scan would;
+     (c) roots inserted since the last round.
+     Inserts into other inputs only add requirements, and punctuations
+     only leave the stores by expiry or purge, so no other tuple can have
+     become purgeable. Each re-check walks the plan forward through
+     [Join_state], probing an index where a probe program built one. *)
+  let cplans =
+    Array.map
+      (fun slot ->
+        Option.map
+          (compile_plan slots (Hashtbl.find slot_tbl))
+          (List.assoc slot.input.name plans))
+      slots
+  in
+  (* readers.(j): the slots whose plan reads input [j]. *)
+  let readers =
+    Array.init n_inputs (fun j ->
+        List.filter
+          (fun i ->
+            match cplans.(i) with
+            | Some cp -> cp.step_of.(j) >= 0
+            | None -> false)
+          (List.init n_inputs Fun.id))
+  in
+  (* (a): informative punctuations since the last round, with their slot.
+     (b): per slot, the victims of the inputs it reads since it was last
+     checked. (c): per slot, the insertion count when it was last checked. *)
+  let new_puncts = ref [] in
+  let victims_since = Array.make n_inputs [] in
+  let checked_upto = Array.make n_inputs 0 in
+  let joinable cp (step : Core.Chained_purge.step) per_pin =
+    let cs =
+      let rec find k =
+        if cp.csteps.(k).step == step then cp.csteps.(k) else find (k + 1)
+      in
+      find 0
+    in
+    let values = Array.of_list (List.map snd per_pin) in
+    let ok x =
+      let rec all k =
+        k = Array.length values
+        || List.exists (Value.equal (Tuple.get x cs.cpins.(k).pos)) values.(k)
+           && all (k + 1)
+      in
+      all 0
+    in
+    let state = slots.(cs.target).state in
+    match cs.keyed with
+    | Some (k, h) ->
+        List.concat_map
+          (fun v -> List.filter ok (Join_state.probe_handle state h v))
+          values.(k)
+    | None ->
+        Join_state.fold (fun acc x -> if ok x then x :: acc else acc) [] state
+  in
+  (* The live tuples of [state] whose attribute [pos] passes [sel]. *)
+  let select state pos index sel =
+    match (sel, index) with
+    | Values vs, Some h -> List.concat_map (Join_state.probe_ids state h) vs
+    | _ ->
+        let keep =
+          match sel with
+          | Values [ v ] -> Value.equal v
+          | Values vs ->
+              let set = Hashtbl.create 16 in
+              List.iter (fun v -> Hashtbl.replace set v ()) vs;
+              (* Null equals nothing, not even a Null *)
+              fun x -> (not (Value.is_null x)) && Hashtbl.mem set x
+          | Below b -> fun x -> Value.compare x b < 0
+          | All -> fun _ -> true
+        in
+        let acc = ref [] in
+        Join_state.iteri
+          (fun id x -> if keep (Tuple.get x pos) then acc := (id, x) :: !acc)
+          state;
+        !acc
+  in
+  let distinct vs =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun v ->
+        (not (Hashtbl.mem seen v)) && (Hashtbl.add seen v (); true))
+      vs
+  in
+  (* Walk back from step [k] to the root through each step's first pin,
+     adding every root id the selected values can reach to [found]. *)
+  let rec walk_back cp k sel found =
+    let p = cp.csteps.(k).cpins.(0) in
+    match select slots.(p.src).state p.src_pos p.src_index sel with
+    | [] -> ()
+    | hits when p.src_step < 0 ->
+        List.iter (fun (id, _) -> Hashtbl.replace found id ()) hits
+    | hits ->
+        let pos = cp.csteps.(p.src_step).cpins.(0).pos in
+        walk_back cp p.src_step
+          (Values (distinct (List.map (fun (_, x) -> Tuple.get x pos) hits)))
+          found
+  in
+  let candidates ix cp =
+    let found = Hashtbl.create 8 in
+    let state = slots.(ix).state in
+    for id = checked_upto.(ix) to Join_state.insertions state - 1 do
+      Hashtbl.replace found id ()
+    done;
+    List.iter
+      (fun (j, p) ->
+        let k = cp.step_of.(j) in
+        (* A punctuation covers a step's bindings only if it constrains
+           nothing but the step's pinned attributes. *)
+        if
+          k >= 0
+          && List.for_all
+               (fun (i, _) ->
+                 Array.exists (fun c -> c.pos = i) cp.csteps.(k).cpins)
+               (Punctuation.constraints p)
+        then
+          let sel =
+            match Punctuation.pattern_at p cp.csteps.(k).cpins.(0).pos with
+            | Punctuation.Const v -> Values [ v ]
+            | Punctuation.Less_than v -> Below v
+            | Punctuation.Wildcard -> All
+          in
+          walk_back cp k sel found)
+      !new_puncts;
+    List.iter
+      (fun (j, tuples) ->
+        let k = cp.step_of.(j) in
+        let pos = cp.csteps.(k).cpins.(0).pos in
+        walk_back cp k
+          (Values (distinct (List.map (fun x -> Tuple.get x pos) tuples)))
+          found)
+      victims_since.(ix);
+    found
+  in
+  let purge_round ~trigger ~full =
     stats := { !stats with purge_rounds = !stats.purge_rounds + 1 };
     let t0 = if instrumented then Telemetry.time_ns telemetry else 0 in
     let round_victims = ref 0 in
-    Array.iter
-      (fun slot ->
-        match slot.plan with
+    Array.iteri
+      (fun ix slot ->
+        match cplans.(ix) with
         | None -> ()
-        | Some plan ->
-            let snapshots = Hashtbl.create 8 in
-            let states stream_name =
-              match Hashtbl.find_opt snapshots stream_name with
-              | Some r -> r
-              | None ->
-                  let r = Join_state.to_relation (slot_of stream_name).state in
-                  Hashtbl.add snapshots stream_name r;
-                  r
+        | Some cp ->
+            let found =
+              if full then begin
+                let all = Hashtbl.create (Join_state.size slot.state) in
+                Join_state.iteri
+                  (fun id _ -> Hashtbl.replace all id ())
+                  slot.state;
+                all
+              end
+              else candidates ix cp
             in
+            victims_since.(ix) <- [];
+            checked_upto.(ix) <- Join_state.insertions slot.state;
             (* Memoize per distinct root-attribute projection: the chain
                only reads the root tuple through its pinned attributes. *)
-            let root_attrs =
-              List.concat_map
-                (fun (step : Core.Chained_purge.step) ->
-                  List.filter_map
-                    (fun (pin : Core.Chained_purge.pin) ->
-                      if pin.source = slot.input.name then
-                        Some pin.source_attr
-                      else None)
-                    step.pins)
-                plan.steps
-              |> List.sort_uniq String.compare
-              |> List.map (Schema.attr_index slot.input.schema)
+            let memo = Hashtbl.create 8 in
+            let purgeable t =
+              let key = Tuple.project t cp.root_attrs in
+              match Hashtbl.find_opt memo key with
+              | Some b -> b
+              | None ->
+                  let b =
+                    Core.Chained_purge.tuple_purgeable cp.plan
+                      ~joinable:(joinable cp) ~covered ~root_tuple:t
+                  in
+                  Hashtbl.add memo key b;
+                  b
             in
-            let memo = Hashtbl.create 64 in
-            let removed =
-              Join_state.purge_if slot.state (fun t ->
-                  let key = Tuple.project t root_attrs in
-                  match Hashtbl.find_opt memo key with
-                  | Some b -> b
-                  | None ->
-                      let b =
-                        Core.Chained_purge.tuple_purgeable plan ~states
-                          ~covered ~root_tuple:t
-                      in
-                      Hashtbl.add memo key b;
-                      b)
+            let ids, dead =
+              Hashtbl.fold
+                (fun id () (ids, dead) ->
+                  match Join_state.find slot.state id with
+                  | Some t when purgeable t -> (id :: ids, t :: dead)
+                  | _ -> (ids, dead))
+                found ([], [])
             in
+            let removed = Join_state.remove slot.state ids in
+            if dead <> [] then
+              List.iter
+                (fun r -> victims_since.(r) <- (ix, dead) :: victims_since.(r))
+                readers.(ix);
             record_purge ~input:slot.input.name ~trigger ~victims:removed;
             round_victims := !round_victims + removed;
             stats :=
               { !stats with tuples_purged = !stats.tuples_purged + removed })
       slots;
+    new_puncts := [];
+    full_next := false;
     if Telemetry.enabled telemetry then begin
       let tick = Telemetry.now telemetry in
       let lag =
@@ -307,8 +523,8 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
                   in
                   Punctuation.of_constraints out_schema lifted))
   in
-  let purge_and_propagate ~trigger () =
-    purge_round ~trigger;
+  let purge_and_propagate ?(full = false) ~trigger () =
+    purge_round ~trigger ~full:(full || !full_next);
     maintain_punct_stores ();
     pending_puncts := 0;
     pending_since := None;
@@ -415,6 +631,8 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
               Contract.handle_punct_rejected contract ~telemetry ~op:name
                 ~input:input_name ~ordered:(Punctuation.is_ordered p);
             if informative then begin
+              if policy <> Purge_policy.Never && readers.(ix) <> [] then
+                new_puncts := (ix, p) :: !new_puncts;
               incr pending_puncts;
               if !pending_since = None then
                 pending_since := Some (Telemetry.now telemetry);
@@ -452,8 +670,8 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
            input, not of its punctuation-arrival prefix (and a sharded
            run, whose shards each see only a punctuation subsequence,
            relies on exactly that fixpoint to agree with the sequential
-           answer). *)
-        purge_and_propagate ~trigger:"flush" ()
+           answer). It re-checks every live tuple, candidate or not. *)
+        purge_and_propagate ~full:true ~trigger:"flush" ()
   in
   let save () =
     let module W = Streams.Wire.W in
@@ -491,7 +709,8 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     stats := st;
     now := n;
     pending_puncts := pp;
-    pending_since := ps
+    pending_since := ps;
+    full_next := true
   in
   {
     Operator.name;

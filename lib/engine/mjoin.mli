@@ -7,11 +7,18 @@
       match.
     - Punctuations are stored per input; at each purge round (per the
       {!Purge_policy}), every input whose purge plan exists (i.e. whose
-      state is purgeable under the operator's scheme set — Theorem 3) is
-      scanned and tuples proven dead by {!Core.Chained_purge} are dropped.
-      Inputs without a purge plan are never scanned: no punctuation can ever
-      purge them, exactly the unbounded-state behaviour the safety checker
-      exists to flag.
+      state is purgeable under the operator's scheme set — Theorem 3)
+      re-checks its candidate tuples and drops those proven dead by
+      {!Core.Chained_purge}. A candidate is a tuple inserted since the last
+      round, one a punctuation stored since then may cover (found by
+      walking the plan back from the punctuated input), or one whose chain
+      lost a tuple since it was last checked; no other tuple can have
+      become purgeable, so each round drops exactly what a rescan of every
+      live tuple would. [flush], the first round after a checkpoint restore
+      and the round after a degrade-mode shed re-check every live tuple.
+      Inputs without a purge plan are never checked: no punctuation can
+      ever purge them, exactly the unbounded-state behaviour the safety
+      checker exists to flag.
     - After purging, a stored punctuation [p] of input [q] whose matching
       tuples have fully drained from [q]'s state is *propagated*: the
       operator emits [p] lifted to the output schema, which is what makes

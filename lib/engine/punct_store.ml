@@ -32,6 +32,10 @@ type t = {
   mutable rejected : int;  (** arrivals already subsumed by the store *)
   mutable subsumed : int;  (** stored entries displaced by a later insert *)
   mutable removed : int;  (** entries removed via expire/purge_if *)
+  mutable frontier : (int * int) option;
+      (** {!progress} over the stored entries, unless [frontier_stale] *)
+  mutable frontier_stale : bool;
+      (** an entry left the store since [frontier] was computed *)
 }
 
 let create schema =
@@ -44,6 +48,8 @@ let create schema =
     rejected = 0;
     subsumed = 0;
     removed = 0;
+    frontier = None;
+    frontier_stale = false;
   }
 
 let schema t = t.schema
@@ -82,6 +88,7 @@ let drop_empty_groups t =
   t.groups <- List.filter (fun g -> KeyTbl.length g.entries > 0) t.groups
 
 let remove_subsumed_by t p =
+  let before = t.subsumed in
   let p_positions = positions_of p in
   List.iter
     (fun g ->
@@ -104,7 +111,8 @@ let remove_subsumed_by t p =
     List.partition (fun e -> not (Punctuation.subsumes p e.punct)) t.ordered
   in
   t.subsumed <- t.subsumed + List.length gone;
-  t.ordered <- keep
+  t.ordered <- keep;
+  if t.subsumed > before then t.frontier_stale <- true
 
 let subsumed_by_stored t p =
   List.exists (fun e -> Punctuation.subsumes e.punct p) t.ordered
@@ -112,6 +120,29 @@ let subsumed_by_stored t p =
      && covers t (Punctuation.const_bindings p)
 
 let already_subsumed = subsumed_by_stored
+
+(* The integer tick a single punctuation vouches for: a constant pins that
+   exact tick as covered; a watermark [Less_than v] covers everything up to
+   [v - 1]. Non-integer constraints carry no position on the tick axis. *)
+let punct_tick p =
+  List.fold_left
+    (fun acc (_, pat) ->
+      let v =
+        match pat with
+        | Punctuation.Const (Value.Int v) -> Some v
+        | Punctuation.Less_than (Value.Int v) -> Some (v - 1)
+        | _ -> None
+      in
+      match (acc, v) with
+      | None, v -> v
+      | Some a, Some b -> Some (max a b)
+      | Some _, None -> acc)
+    None (Punctuation.constraints p)
+
+let widen frontier v =
+  match frontier with
+  | None -> Some (v, v)
+  | Some (lo, hi) -> Some (min lo v, max hi v)
 
 let insert t ~now p =
   if not (Schema.equal (Punctuation.schema p) t.schema) then
@@ -130,6 +161,9 @@ let insert t ~now p =
     end;
     t.pending_forward <- entry :: t.pending_forward;
     t.insertions <- t.insertions + 1;
+    (match punct_tick p with
+    | Some v when not t.frontier_stale -> t.frontier <- widen t.frontier v
+    | _ -> ());
     true
   end
 
@@ -162,38 +196,19 @@ let to_list t =
   iter (fun p -> acc := p :: !acc) t;
   !acc
 
-(* The integer tick a single punctuation vouches for: a constant pins that
-   exact tick as covered; a watermark [Less_than v] covers everything up to
-   [v - 1]. Non-integer constraints carry no position on the tick axis. *)
-let punct_tick p =
-  List.fold_left
-    (fun acc (_, pat) ->
-      let v =
-        match pat with
-        | Punctuation.Const (Value.Int v) -> Some v
-        | Punctuation.Less_than (Value.Int v) -> Some (v - 1)
-        | _ -> None
-      in
-      match (acc, v) with
-      | None, v -> v
-      | Some a, Some b -> Some (max a b)
-      | Some _, None -> acc)
-    None (Punctuation.constraints p)
-
+(* The frontier widens on insert and is recomputed only after an entry
+   left the store, so the per-punctuation progress gauges cost O(1). *)
 let progress t =
-  let acc = ref None in
-  iter
-    (fun p ->
-      match punct_tick p with
-      | None -> ()
-      | Some v ->
-          acc :=
-            Some
-              (match !acc with
-              | None -> (v, v)
-              | Some (lo, hi) -> (min lo v, max hi v)))
-    t;
-  !acc
+  if t.frontier_stale then begin
+    let acc = ref None in
+    iter
+      (fun p ->
+        match punct_tick p with None -> () | Some v -> acc := widen !acc v)
+      t;
+    t.frontier <- !acc;
+    t.frontier_stale <- false
+  end;
+  t.frontier
 
 let remove_where t pred =
   let count =
@@ -216,6 +231,7 @@ let remove_where t pred =
   t.pending_forward <- List.filter (fun e -> not (pred e)) t.pending_forward;
   let total = count + List.length drop in
   t.removed <- t.removed + total;
+  if total > 0 then t.frontier_stale <- true;
   total
 
 let expire t ~now lifespan =
@@ -311,15 +327,16 @@ let read_snapshot (t : t) r =
   t.removed <- removed;
   t.ordered <- ordered;
   t.groups <- groups;
+  t.frontier_stale <- true;
+  (* A queued punctuation may have left the store by subsumption: it is
+     still forwarded once drained, so it comes back as a detached entry.
+     Its insertion time is not in the snapshot; 0 is the oldest it can be. *)
   t.pending_forward <-
     List.map
       (fun p ->
         match find_entry t p with
         | Some e -> e
-        | None ->
-            raise
-              (Wire.Corrupt
-                 "Punct_store snapshot: pending punctuation not in store"))
+        | None -> { punct = p; inserted_at = 0; forwarded = false })
       pending
 
 let collect_forwardable t ~drained =

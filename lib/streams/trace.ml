@@ -21,9 +21,104 @@ let pp_violation ppf = function
       Fmt.pf ppf "punctuation %a instantiates no declared scheme"
         Punctuation.pp p
 
+(* Earlier punctuations of one stream, indexed for [check]. Punctuations
+   are grouped by shape — their constant positions and their watermark
+   positions — and, within a shape, by their constant values. A bucket
+   keeps its punctuations newest first with their arrival numbers, and the
+   largest bound at the shape's first watermark position: a tuple at or
+   above it can match none of them. On a well-formed trace, checking a
+   tuple therefore costs one lookup per shape. *)
+module Key = struct
+  type t = Relational.Value.t list
+
+  let equal a b = List.compare Relational.Value.compare a b = 0
+
+  let hash k =
+    List.fold_left (fun acc v -> (acc * 31) + Relational.Value.hash v) 7 k
+end
+
+module KeyTbl = Hashtbl.Make (Key)
+
+type bucket = {
+  mutable bound : Relational.Value.t option;
+  mutable seen : (int * Punctuation.t) list;
+}
+
+type shape = {
+  arity : int;
+  consts : int list;
+  below : int option;  (** first watermark position *)
+  buckets : bucket KeyTbl.t;
+}
+
+let remember shapes seq p =
+  let arity = Relational.Schema.arity (Punctuation.schema p) in
+  let consts = ref [] and key = ref [] and below = ref None in
+  for i = arity - 1 downto 0 do
+    match Punctuation.pattern_at p i with
+    | Punctuation.Const v ->
+        consts := i :: !consts;
+        key := v :: !key
+    | Punctuation.Less_than _ -> below := Some i
+    | Punctuation.Wildcard -> ()
+  done;
+  let consts = !consts and key = !key and below = !below in
+  (* A constant Null never matches (SQL equality), so it needs no slot. *)
+  if not (List.exists Relational.Value.is_null key) then begin
+    let sh =
+      match
+        List.find_opt
+          (fun sh -> sh.arity = arity && sh.consts = consts && sh.below = below)
+          !shapes
+      with
+      | Some sh -> sh
+      | None ->
+          let sh = { arity; consts; below; buckets = KeyTbl.create 16 } in
+          shapes := sh :: !shapes;
+          sh
+    in
+    let b =
+      match KeyTbl.find_opt sh.buckets key with
+      | Some b -> b
+      | None ->
+          let b = { bound = None; seen = [] } in
+          KeyTbl.add sh.buckets key b;
+          b
+    in
+    b.seen <- (seq, p) :: b.seen;
+    match below with
+    | None -> ()
+    | Some i -> (
+        match (Punctuation.pattern_at p i, b.bound) with
+        | Punctuation.Less_than v, Some w when Relational.Value.compare v w <= 0
+          ->
+            ()
+        | Punctuation.Less_than v, _ -> b.bound <- Some v
+        | _ -> ())
+  end
+
+let matching shapes tup =
+  let hits sh =
+    let key = Relational.Tuple.project tup sh.consts in
+    if List.exists Relational.Value.is_null key then []
+    else
+      match KeyTbl.find_opt sh.buckets key with
+      | None -> []
+      | Some b -> (
+          match (sh.below, b.bound) with
+          | Some i, Some w
+            when Relational.Value.compare (Relational.Tuple.get tup i) w >= 0 ->
+              []
+          | _ -> List.filter (fun (_, p) -> Punctuation.matches p tup) b.seen)
+  in
+  (* a punctuation of another arity matches nothing *)
+  List.concat_map
+    (fun sh -> if sh.arity = Relational.Tuple.arity tup then hits sh else [])
+    shapes
+
 let check ~schemes t =
-  (* Single pass per stream, remembering the punctuations seen so far. *)
-  let seen : (string, Punctuation.t list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* Single pass, remembering each stream's punctuations so far. *)
+  let seen : (string, shape list ref) Hashtbl.t = Hashtbl.create 8 in
   let past s =
     match Hashtbl.find_opt seen s with
     | Some r -> r
@@ -32,22 +127,25 @@ let check ~schemes t =
         Hashtbl.add seen s r;
         r
   in
+  let seq = ref 0 in
   List.concat_map
     (fun e ->
+      incr seq;
       let s = Element.stream_name e in
       match e with
       | Element.Punct p ->
-          (past s) := p :: !(past s);
+          remember (past s) !seq p;
           if Scheme.Set.instantiated_by schemes p = None then
             [ Unregistered_punctuation p ]
           else []
-      | Element.Data tup ->
-          List.filter_map
-            (fun p ->
-              if Punctuation.matches p tup then
-                Some (Tuple_after_punctuation (tup, p))
-              else None)
-            !(past s))
+      | Element.Data tup -> (
+          match matching !(past s) tup with
+          | [] -> []
+          | hits ->
+              (* newest punctuation first, as a scan of the stream's
+                 history would report them *)
+              List.sort (fun (a, _) (b, _) -> Int.compare b a) hits
+              |> List.map (fun (_, p) -> Tuple_after_punctuation (tup, p))))
     t
 
 let interleave ?(seed = 42) weighted =

@@ -25,7 +25,10 @@ type violation =
 val pp_violation : Format.formatter -> violation -> unit
 
 (** [check ~schemes t] is the list of well-formedness violations of [t]
-    against scheme set [schemes] (empty when the trace is sound). *)
+    against scheme set [schemes] (empty when the trace is sound), in trace
+    order, each tuple's violations newest punctuation first. Earlier
+    punctuations are indexed by shape and constant values, so a sound
+    trace costs one lookup per punctuation shape per tuple. *)
 val check : schemes:Scheme.Set.t -> t -> violation list
 
 (** [interleave ?seed weighted] merges per-stream traces into one arrival

@@ -45,6 +45,37 @@ grep -q 'purge_round' "$OBS_TMP/tail_out.txt" || {
   exit 1
 }
 
+echo "== scaling gate: 4x the input must take under 8x the time =="
+# pstream-run on the triangle at fanin 5 (eager policy, default
+# telemetry), 400 against 1600 rounds, at lag 0 (a few live tuples) and
+# lag 60 (~900). Best of 3 alternating runs per size. Linear growth reads
+# about 4x; a per-element cost that grows with run length (quadratic
+# growth reads 16x) fails the gate. --sample 1000 as in pbench: on the
+# default 100-element grid the watchdog reads lag 60's warm-up ramp as
+# growth and the run exits 3.
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+for lag in 0 60; do
+  best_400=""; best_1600=""
+  for _ in 1 2 3; do
+    for rounds in 400 1600; do
+      t0="$(now_ms)"
+      ./_build/default/bin/pstream_run.exe examples/triangle.query --fanin 5 \
+        --lag "$lag" --rounds "$rounds" --policy eager --sample 1000 > /dev/null
+      dt=$(( $(now_ms) - t0 ))
+      if [ "$rounds" -eq 400 ]; then
+        if [ -z "$best_400" ] || [ "$dt" -lt "$best_400" ]; then best_400="$dt"; fi
+      else
+        if [ -z "$best_1600" ] || [ "$dt" -lt "$best_1600" ]; then best_1600="$dt"; fi
+      fi
+    done
+  done
+  echo "lag $lag: 400 rounds ${best_400} ms, 1600 rounds ${best_1600} ms"
+  if [ "$best_1600" -ge $(( 8 * best_400 )) ]; then
+    echo "scaling gate: 4x the input took ${best_1600} ms against ${best_400} ms (>= 8x) at lag $lag" >&2
+    exit 1
+  fi
+done
+
 echo "== live observability smoke: scrape while running =="
 # Start a long run serving OpenMetrics, poll the endpoint until a mid-run
 # scrape succeeds with all load-bearing families present and every
@@ -71,7 +102,7 @@ live_scrape() {
 }
 
 SEQ_SOCK="$OBS_TMP/metrics_seq.sock"
-./_build/default/bin/pstream_run.exe examples/triangle.query --rounds 20000 \
+./_build/default/bin/pstream_run.exe examples/triangle.query --rounds 40000 \
   --sample 100 --listen "unix:$SEQ_SOCK" > "$OBS_TMP/live_seq_out.txt" 2>&1 &
 LIVE_PID=$!
 if ! live_scrape "$SEQ_SOCK" "$OBS_TMP/scrape_seq.txt"; then
@@ -93,7 +124,7 @@ grep -q '^operator' "$OBS_TMP/top_frame.txt" && grep -q '^J1' "$OBS_TMP/top_fram
 # Same families under --shards 4: the merged exposition must announce
 # exactly the family set the sequential one does.
 SH_SOCK="$OBS_TMP/metrics_sh.sock"
-./_build/default/bin/pstream_run.exe examples/triangle.query --rounds 5000 \
+./_build/default/bin/pstream_run.exe examples/triangle.query --rounds 25000 \
   --sample 100 --shards 4 --listen "unix:$SH_SOCK" \
   > "$OBS_TMP/live_sh_out.txt" 2>&1 &
 LIVE_PID=$!
@@ -119,7 +150,7 @@ fi
 # catalog.
 MQ_SOCK="$OBS_TMP/metrics_mq.sock"
 ./_build/default/bin/pstream_run.exe --query examples/star_rst.query \
-  --query examples/star_rsu.query --rounds 2500 --sample 100 \
+  --query examples/star_rsu.query --rounds 12000 --sample 100 \
   --listen "unix:$MQ_SOCK" > "$OBS_TMP/live_mq_out.txt" 2>&1 &
 LIVE_PID=$!
 if ! live_scrape "$MQ_SOCK" "$OBS_TMP/scrape_mq.txt"; then

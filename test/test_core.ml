@@ -279,10 +279,12 @@ let test_tuple_purgeable_with_cover () =
   in
   let t = tuple s1 [ 7; 1 ] in
   check_bool "purgeable when chain covered" true
-    (Chained_purge.tuple_purgeable plan ~states ~covered:covered_full
+    (Chained_purge.tuple_purgeable plan
+       ~joinable:(Chained_purge.joinable_in states) ~covered:covered_full
        ~root_tuple:t);
   check_bool "not purgeable when S3 missing" false
-    (Chained_purge.tuple_purgeable plan ~states ~covered:covered_partial
+    (Chained_purge.tuple_purgeable plan
+       ~joinable:(Chained_purge.joinable_in states) ~covered:covered_partial
        ~root_tuple:t)
 
 let test_chained_purge_empty_chain_cut () =

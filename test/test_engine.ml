@@ -52,10 +52,27 @@ let test_join_state_purge () =
   check_int "B=1 gone from index too" 0
     (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 1 ]))
 
-let test_join_state_to_relation_and_matching () =
+let test_join_state_ids_and_matching () =
   let st = Join_state.create s1 in
   Join_state.insert st (tuple s1 [ 1; 7 ]);
-  check_int "snapshot" 1 (Relation.cardinality (Join_state.to_relation st));
+  Join_state.insert st (tuple s1 [ 2; 7 ]);
+  Join_state.insert st (tuple s1 [ 3; 8 ]);
+  check_bool "no index yet" true (Join_state.find_index st ~attr:1 = None);
+  check_bool "find" true (Join_state.find st 1 = Some (tuple s1 [ 2; 7 ]));
+  let h = Join_state.index_on st ~attr:1 in
+  check_bool "index found" true (Join_state.find_index st ~attr:1 <> None);
+  check_bool "no other index" true (Join_state.find_index st ~attr:0 = None);
+  check_int "ids in B=7 bucket" 2
+    (List.length (Join_state.probe_ids st h (Value.Int 7)));
+  check_int "remove live ids only" 1 (Join_state.remove st [ 0; 0; 9 ]);
+  check_bool "removed" true (Join_state.find st 0 = None);
+  check_bool "bucket shrank" true
+    (List.map fst (Join_state.probe_ids st h (Value.Int 7)) = [ 1 ]);
+  let ids = ref [] in
+  Join_state.iteri (fun id _ -> ids := id :: !ids) st;
+  check_bool "iteri" true (List.sort compare !ids = [ 1; 2 ]);
+  check_int "indexes never built by id access" 1
+    (Join_state.mem_stats st).Join_state.indexes;
   check_bool "matching" true (Join_state.exists_matching st (punct s1 [ ("B", 7) ]));
   check_bool "not matching" false
     (Join_state.exists_matching st (punct s1 [ ("B", 9) ]))
@@ -209,6 +226,24 @@ let test_punct_store_expire_clears_pending () =
   check_int "only the survivor forwarded" 1 (List.length forwarded);
   check_bool "it is the young one" true
     (Streams.Punctuation.equal (List.hd forwarded) (punct s1 [ ("B", 2) ]))
+
+(* A watermark displaced by a later one is still queued for forwarding; a
+   snapshot taken then used to fail to restore ("pending punctuation not
+   in store"). *)
+let test_punct_store_snapshot_subsumed_pending () =
+  let ps = Punct_store.create s1 in
+  ignore (Punct_store.insert ps ~now:1 (Punctuation.watermark s1 "B" (Value.Int 5)));
+  ignore (Punct_store.insert ps ~now:2 (Punctuation.watermark s1 "B" (Value.Int 9)));
+  check_int "one stored" 1 (Punct_store.size ps);
+  check_int "both pending" 2 (Punct_store.pending_count ps);
+  let buf = Buffer.create 64 in
+  Punct_store.write_snapshot buf ps;
+  let restored = Punct_store.create s1 in
+  Punct_store.read_snapshot restored (Streams.Wire.R.of_string (Buffer.contents buf));
+  check_int "one stored after restore" 1 (Punct_store.size restored);
+  check_int "both forwarded after restore" 2
+    (List.length
+       (Punct_store.collect_forwardable restored ~drained:(fun _ -> true)))
 
 (* ------------------------------------------------------------------ *)
 (* Purge policy / metrics *)
@@ -796,10 +831,234 @@ let prop_punct_store_covers_model =
           = List.exists (fun p -> Punctuation.covers p bindings) !model)
         queries)
 
+(* The progress frontier is maintained incrementally: after any mix of
+   inserts, expiry, purges and snapshot round-trips it must equal a fold
+   over the stored punctuations (constant v covers tick v, watermark
+   [< v] covers v - 1, the furthest constraint counts). *)
+let prop_punct_store_progress_model =
+  QCheck2.Test.make ~name:"Punct_store.progress = fold over to_list"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (pair (int_range 0 5) (triple (int_range 0 9) (int_range 0 9) bool)))
+    (fun ops ->
+      let store = ref (Punct_store.create s1) in
+      let reference () =
+        List.fold_left
+          (fun acc p ->
+            let ticks =
+              List.filter_map
+                (function
+                  | _, Punctuation.Const (Value.Int v) -> Some v
+                  | _, Punctuation.Less_than (Value.Int v) -> Some (v - 1)
+                  | _ -> None)
+                (Punctuation.constraints p)
+            in
+            match ticks, acc with
+            | [], _ -> acc
+            | _, None ->
+                let v = List.fold_left max min_int ticks in
+                Some (v, v)
+            | _, Some (lo, hi) ->
+                let v = List.fold_left max min_int ticks in
+                Some (min lo v, max hi v))
+          None (Punct_store.to_list !store)
+      in
+      let now = ref 0 in
+      List.for_all
+        (fun (op, (a, b, flag)) ->
+          incr now;
+          (match op with
+          | 0 | 1 ->
+              let p =
+                if flag then Punctuation.watermark s1 "B" (Value.Int b)
+                else if op = 0 then punct s1 [ ("B", b) ]
+                else punct s1 [ ("A", a); ("B", b) ]
+              in
+              ignore (Punct_store.insert !store ~now:!now p)
+          | 2 -> ignore (Punct_store.insert !store ~now:!now (punct s1 [ ("A", a) ]))
+          | 3 ->
+              ignore
+                (Punct_store.expire !store ~now:!now
+                   { Core.Punct_purge.ttl = a + 1 })
+          | 4 ->
+              ignore
+                (Punct_store.purge_if !store (fun p ->
+                     Punctuation.matches p (tuple s1 [ a; b ])))
+          | _ ->
+              let buf = Buffer.create 256 in
+              Punct_store.write_snapshot buf !store;
+              let fresh = Punct_store.create s1 in
+              Punct_store.read_snapshot fresh
+                (Streams.Wire.R.of_string (Buffer.contents buf));
+              store := fresh);
+          Punct_store.progress !store = reference ())
+        ops)
+
+(* Differential check of Mjoin's candidate purge rounds. Random queries
+   and punctuation-complete traces (with delayed punctuations and late
+   tuples) go through the operator one element at a time; after every push
+   that ran a round, each input's victims in that push's [Purge] events must
+   equal what a full rescan finds: every input kept as a finite relation,
+   every tuple re-decided by [Chained_purge.tuple_purgeable], slot by slot,
+   each slot seeing the purges of the slots before it. *)
+let prop_incremental_purge_matches_full_scan =
+  QCheck2.Test.make ~name:"incremental purge = full-scan reference" ~count:200
+    ~print:(fun (seed, shape, lazy_) ->
+      Printf.sprintf "seed=%d query=%s policy=%s" seed
+        (match shape with
+        | 0 | 1 -> "random_query"
+        | 2 -> "cycle_query"
+        | _ -> "chain_query")
+        (if lazy_ then "lazy:3" else "eager"))
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 3) bool)
+    (fun (seed, shape, lazy_) ->
+      let n = 3 + (seed mod 2) in
+      let q =
+        match shape with
+        | 0 | 1 ->
+            Workload.Synth.random_query
+              {
+                Workload.Synth.n_streams = n;
+                extra_edges = seed mod 2;
+                attrs_per_stream = 2;
+                single_scheme_prob = 0.7;
+                multi_scheme_prob = 0.4;
+                ordered_scheme_prob = 0.3;
+                seed;
+              }
+        | 2 -> Workload.Synth.cycle_query ~n ()
+        | _ -> Workload.Synth.chain_query ~n ()
+      in
+      let trace =
+        Workload.Synth.round_trace q
+          {
+            Workload.Synth.rounds = 6 + (seed mod 7);
+            tuples_per_round = 1 + (seed mod 3);
+            punct_lag = seed mod 4;
+            trace_seed = seed;
+          }
+      in
+      let trace, _ =
+        Streams.Fault_injector.apply
+          {
+            Streams.Fault_injector.default with
+            seed;
+            delay_punct = 0.2;
+            delay_ticks = 4;
+            late_data = 0.2;
+          }
+          trace
+      in
+      let inputs =
+        List.map
+          (fun d ->
+            {
+              Mjoin.name = Streams.Stream_def.name d;
+              schema = Streams.Stream_def.schema d;
+              schemes = Streams.Stream_def.schemes d;
+            })
+          (Cjq.stream_defs q)
+      in
+      let predicates = Cjq.predicates q in
+      let events = ref [] in
+      let telemetry =
+        Engine.Telemetry.create
+          ~sink:{ Obs.Sink.emit = (fun e -> events := e :: !events); close = ignore }
+          ()
+      in
+      let op =
+        Mjoin.create ~telemetry
+          ~policy:(if lazy_ then Purge_policy.Lazy 3 else Purge_policy.Eager)
+          ~inputs ~predicates ()
+      in
+      (* the reference *)
+      let plans = Mjoin.purge_plans ~inputs ~predicates in
+      let rels = Hashtbl.create 8 and stores = Hashtbl.create 8 in
+      List.iter
+        (fun (i : Mjoin.input) ->
+          Hashtbl.replace rels i.name (Relation.empty i.schema);
+          Hashtbl.replace stores i.name [])
+        inputs;
+      let covered ~stream bindings =
+        List.exists
+          (fun p -> Punctuation.covers p bindings)
+          (Hashtbl.find stores stream)
+      in
+      let join_key_null tup =
+        let name = Schema.stream_name (Tuple.schema tup) in
+        List.exists
+          (fun atom ->
+            Predicate.involves atom name
+            && Value.is_null (Tuple.get_named tup (Predicate.attr_on atom name)))
+          predicates
+      in
+      let full_scan () =
+        List.filter_map
+          (fun (name, plan) ->
+            match plan with
+            | None -> None
+            | Some plan ->
+                let rel = Hashtbl.find rels name in
+                let dead, keep =
+                  List.partition
+                    (fun t ->
+                      Core.Chained_purge.tuple_purgeable plan
+                        ~joinable:(Core.Chained_purge.joinable_in (Hashtbl.find rels))
+                        ~covered ~root_tuple:t)
+                    (Relation.tuples rel)
+                in
+                Hashtbl.replace rels name (Relation.make (Relation.schema rel) keep);
+                if dead = [] then None else Some (name, List.length dead))
+          plans
+      in
+      let purged evs =
+        List.filter_map
+          (function
+            | Obs.Event.Purge { input; victims; trigger; _ } when trigger <> "null_key" ->
+                Some (input, victims)
+            | _ -> None)
+          evs
+        |> List.sort compare
+      in
+      let ran_round evs =
+        List.exists (function Obs.Event.Purge_round _ -> true | _ -> false) evs
+      in
+      let live () =
+        Hashtbl.fold (fun _ r acc -> acc + Relation.cardinality r) rels 0
+      in
+      let step push apply =
+        events := [];
+        push ();
+        let evs = List.rev !events in
+        let want = apply (ran_round evs) in
+        purged evs = List.sort compare want && op.Engine.Operator.data_state_size () = live ()
+      in
+      List.for_all
+        (fun e ->
+          step
+            (fun () -> ignore (op.Engine.Operator.push e))
+            (fun round ->
+              match e with
+              | Element.Data tup ->
+                  let want = if round then full_scan () else [] in
+                  let name = Schema.stream_name (Tuple.schema tup) in
+                  if not (join_key_null tup) then
+                    Hashtbl.replace rels name (Relation.add (Hashtbl.find rels name) tup);
+                  want
+              | Element.Punct p ->
+                  let name = Schema.stream_name (Punctuation.schema p) in
+                  Hashtbl.replace stores name (p :: Hashtbl.find stores name);
+                  if round then full_scan () else []))
+        trace
+      && step (fun () -> ignore (op.Engine.Operator.flush ())) (fun _ -> full_scan ()))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_punct_store_covers_model;
+      prop_incremental_purge_matches_full_scan;
+      prop_punct_store_progress_model;
       prop_pjoin_equals_mjoin;
       prop_policies_preserve_results;
       prop_multiway_equals_brute_force;
@@ -815,7 +1074,7 @@ let () =
           Alcotest.test_case "insert/size" `Quick test_join_state_insert_size;
           Alcotest.test_case "probe" `Quick test_join_state_probe;
           Alcotest.test_case "purge" `Quick test_join_state_purge;
-          Alcotest.test_case "snapshot/matching" `Quick test_join_state_to_relation_and_matching;
+          Alcotest.test_case "ids/matching" `Quick test_join_state_ids_and_matching;
           Alcotest.test_case "schema mismatch" `Quick test_join_state_schema_mismatch;
           Alcotest.test_case "purge cleans indexes" `Quick
             test_join_state_purge_cleans_indexes;
@@ -837,6 +1096,8 @@ let () =
           Alcotest.test_case "purge symmetry" `Quick test_punct_store_purge_symmetry;
           Alcotest.test_case "expire clears pending" `Quick
             test_punct_store_expire_clears_pending;
+          Alcotest.test_case "snapshot keeps subsumed pending" `Quick
+            test_punct_store_snapshot_subsumed_pending;
         ] );
       ( "policy/metrics",
         [

@@ -408,9 +408,88 @@ let prop_interleave_preserves_length =
       && Trace.for_stream m "S1" = t1
       && Trace.for_stream m "S2" = t2)
 
+(* The quadratic [Trace.check] this repository used before it indexed the
+   punctuation history: every data tuple against every earlier punctuation
+   of its stream, newest first. Kept as the reference. *)
+let reference_check ~schemes t =
+  let seen : (string, Punctuation.t list ref) Hashtbl.t = Hashtbl.create 8 in
+  let past s =
+    match Hashtbl.find_opt seen s with
+    | Some r -> r
+    | None ->
+        let r = ref [] in
+        Hashtbl.add seen s r;
+        r
+  in
+  List.concat_map
+    (fun e ->
+      let s = Element.stream_name e in
+      match e with
+      | Element.Punct p ->
+          (past s) := p :: !(past s);
+          if Scheme.Set.instantiated_by schemes p = None then
+            [ Trace.Unregistered_punctuation p ]
+          else []
+      | Element.Data tup ->
+          List.filter_map
+            (fun p ->
+              if Punctuation.matches p tup then
+                Some (Trace.Tuple_after_punctuation (tup, p))
+              else None)
+            !(past s))
+    t
+
+let same_violation a b =
+  match (a, b) with
+  | Trace.Tuple_after_punctuation (t, p), Trace.Tuple_after_punctuation (u, q)
+    ->
+      t == u && p == q
+  | Trace.Unregistered_punctuation p, Trace.Unregistered_punctuation q -> p == q
+  | _ -> false
+
+(* Random traces over S1(A, B) and S2(B, C) mixing constants on one or
+   both attributes, watermarks, constant-plus-watermark punctuations,
+   duplicates and Null values, most of them violating. *)
+let prop_trace_check_reference =
+  QCheck2.Test.make ~name:"Trace.check = reference scan" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (triple (int_range 0 8) (int_range 0 5) (int_range 0 5)))
+    (fun ops ->
+      let v x = if x = 5 then Value.Null else Value.Int x in
+      let tr =
+        List.map
+          (fun (op, a, b) ->
+            let sch = if op land 1 = 0 then s1 else s2 in
+            let x = (Schema.attr_at sch 0).Schema.name
+            and y = (Schema.attr_at sch 1).Schema.name in
+            let a' = Value.Int (a mod 5) and b' = Value.Int (b mod 5) in
+            match op with
+            | 0 | 1 | 2 | 3 -> Element.Data (Tuple.make sch [ v a; v b ])
+            | 4 -> Element.Punct (Punctuation.of_bindings sch [ (y, b') ])
+            | 5 ->
+                Element.Punct (Punctuation.of_bindings sch [ (x, a'); (y, b') ])
+            | 6 -> Element.Punct (Punctuation.watermark sch y b')
+            | 7 ->
+                Element.Punct
+                  (Punctuation.of_constraints sch
+                     [ (x, Punctuation.Const a'); (y, Punctuation.Less_than b') ])
+            | _ -> Element.Punct (Punctuation.of_bindings sch [ (x, a') ]))
+          ops
+      in
+      let schemes =
+        Scheme.Set.of_list [ Scheme.of_attrs s1 [ "B" ]; Scheme.ordered s2 [ "C" ] ]
+      in
+      let got = Trace.check ~schemes tr and want = reference_check ~schemes tr in
+      List.length got = List.length want && List.for_all2 same_violation got want)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_covers_monotone; prop_interleave_preserves_length ]
+    [
+      prop_covers_monotone;
+      prop_interleave_preserves_length;
+      prop_trace_check_reference;
+    ]
 
 let () =
   Alcotest.run "streams"
