@@ -683,15 +683,38 @@ let no_share =
            baseline sharing is measured against). Per-query output hashes \
            must not change.")
 
+(* Numeric flags are range-checked when parsed, so an out-of-range value is
+   a usage error (exit 124) instead of an exception deep inside the run. *)
+let int_conv ~min ~expected : int Arg.conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected %s, got %S" expected s))
+  in
+  Arg.conv ~docv:"INT" (parse, Fmt.int)
+
+let positive = int_conv ~min:1 ~expected:"a positive integer"
+let non_negative = int_conv ~min:0 ~expected:"a non-negative integer"
+
+let probability : float Arg.conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Fmt.str "expected a probability in [0,1], got %S" s))
+  in
+  Arg.conv ~docv:"P" (parse, Fmt.float)
+
 let rounds =
-  Arg.(value & opt int 200 & info [ "rounds" ] ~doc:"Workload rounds.")
+  Arg.(value & opt positive 200 & info [ "rounds" ] ~doc:"Workload rounds.")
 
 let tuples_per_round =
-  Arg.(value & opt int 1 & info [ "fanin" ] ~doc:"Tuples per stream per round.")
+  Arg.(
+    value & opt positive 1
+    & info [ "fanin" ] ~doc:"Tuples per stream per round.")
 
 let punct_lag =
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "lag" ] ~doc:"Rounds between data and its punctuations.")
 
 (* A malformed --policy used to fall back to Eager silently; it is now a
@@ -742,7 +765,9 @@ let force =
   Arg.(value & flag & info [ "force" ] ~doc:"Run even if the query is unsafe.")
 
 let sample_every =
-  Arg.(value & opt int 100 & info [ "sample" ] ~doc:"Metrics sampling period.")
+  Arg.(
+    value & opt positive 100
+    & info [ "sample" ] ~doc:"Metrics sampling period.")
 
 let replay =
   Arg.(
@@ -782,7 +807,7 @@ let trace_file =
 
 let shards =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "shards" ]
         ~doc:
           "Hash-partition the join across N worker domains (see \
@@ -800,7 +825,8 @@ let chaos_seed =
            probabilities and workload always produce the same faulted trace \
            and injection log.")
 
-let prob_flag name ~doc = Arg.(value & opt float 0. & info [ name ] ~docv:"P" ~doc)
+let prob_flag name ~doc =
+  Arg.(value & opt probability 0. & info [ name ] ~docv:"P" ~doc)
 
 let drop_punct =
   prob_flag "drop-punct"
@@ -816,7 +842,7 @@ let delay_punct =
 
 let delay_ticks =
   Arg.(
-    value & opt int 3
+    value & opt positive 3
     & info [ "delay-ticks" ] ~docv:"N"
         ~doc:"Positions a delayed punctuation slides (with --delay-punct).")
 
@@ -904,7 +930,7 @@ let on_violation =
 let grace =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "grace" ] ~docv:"TICKS"
         ~doc:
           "Punctuation-stall grace window: flag a source whose punctuations \
@@ -913,7 +939,7 @@ let grace =
 let state_budget =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative) None
     & info [ "state-budget" ] ~docv:"BYTES"
         ~doc:
           "Approximate join-state byte budget enforced under \
@@ -923,7 +949,8 @@ let state_budget =
 let quarantine_cap =
   Arg.(
     value
-    & opt int Engine.Contract.default_config.Engine.Contract.quarantine_cap
+    & opt non_negative
+        Engine.Contract.default_config.Engine.Contract.quarantine_cap
     & info [ "quarantine-cap" ] ~docv:"N"
         ~doc:"Max quarantined late tuples kept (with --on-violation quarantine).")
 
@@ -974,7 +1001,7 @@ let kills =
 
 let max_restarts =
   Arg.(
-    value & opt int 2
+    value & opt non_negative 2
     & info [ "max-restarts" ] ~docv:"N"
         ~doc:
           "Restart budget per shard; a shard crashing more than N times \
@@ -985,7 +1012,7 @@ let max_restarts =
 let checkpoint_every =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "checkpoint-every" ] ~docv:"K"
         ~doc:
           "Take a punctuation-aligned checkpoint at every K-th \

@@ -4,8 +4,6 @@ module Element = Streams.Element
 module Cjq = Query.Cjq
 module Plan = Query.Plan
 
-type binary_impl = Use_mjoin | Use_pjoin
-
 type node =
   | Leaf of { stream : string; schema : Schema.t; schemes : Scheme.t list }
   | Inner of {
@@ -18,7 +16,6 @@ type node =
 module Config = struct
   type t = {
     policy : Purge_policy.t;
-    binary_impl : binary_impl;
     punct_lifespan : Core.Punct_purge.lifespan option;
     punct_partner_purge : bool;
     telemetry : Telemetry.t;
@@ -29,7 +26,6 @@ module Config = struct
   let default =
     {
       policy = Purge_policy.Eager;
-      binary_impl = Use_mjoin;
       punct_lifespan = None;
       punct_partner_purge = false;
       telemetry = Telemetry.null;
@@ -37,13 +33,12 @@ module Config = struct
       op_prefix = "";
     }
 
-  let make ?(policy = default.policy) ?(binary_impl = default.binary_impl)
-      ?punct_lifespan ?(punct_partner_purge = default.punct_partner_purge)
+  let make ?(policy = default.policy) ?punct_lifespan
+      ?(punct_partner_purge = default.punct_partner_purge)
       ?(telemetry = default.telemetry) ?contract
       ?(op_prefix = default.op_prefix) () =
     {
       policy;
-      binary_impl;
       punct_lifespan;
       punct_partner_purge;
       telemetry;
@@ -87,7 +82,6 @@ let attr_in_node node s attr =
 let compile ?(config = Config.default) query plan =
   let {
     Config.policy;
-    binary_impl;
     punct_lifespan;
     punct_partner_purge;
     telemetry;
@@ -173,22 +167,10 @@ let compile ?(config = Config.default) query plan =
               in
               Outer_join.create ~name:op_name ~telemetry ?contract ~semantics
                 ~left:(side a) ~right:(side b) ~predicates:lifted ()
-          | _, _ -> (
-          match nodes, binary_impl with
-          | [ a; b ], Use_pjoin ->
-              let side n =
-                {
-                  Sym_hash_join.name = node_name n;
-                  schema = node_schema n;
-                  schemes = node_schemes n;
-                }
-              in
-              Sym_hash_join.create ~name:op_name ~policy ~telemetry ?contract
-                ~left:(side a) ~right:(side b) ~predicates:lifted ()
-          | _ ->
+          | _, _ ->
               Mjoin.create ~name:op_name ~policy ?punct_lifespan
                 ~punct_partner_purge ~telemetry ?contract ~inputs
-                ~predicates:lifted ())
+                ~predicates:lifted ()
         in
         let op = Telemetry.wrap_op telemetry op in
         ops := op :: !ops;

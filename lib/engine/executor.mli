@@ -11,21 +11,16 @@
     {!Mjoin}). This mirrors Lemma 1's use of base-stream schemes for
     composite operator inputs. *)
 
-type binary_impl =
-  | Use_mjoin  (** every operator is an {!Mjoin} (2-input included) *)
-  | Use_pjoin  (** binary operators use {!Sym_hash_join} *)
-
 type compiled
 
-(** Compilation configuration — the one record that used to be seven
-    optional arguments. [default] preserves every historical default, so
+(** Compilation configuration — one record in place of six optional
+    arguments. [default] preserves every historical default, so
     [compile query plan] without a config is the engine as it always was.
     Build variations with [Config.make] or record update syntax
     ([{ Config.default with policy }]). *)
 module Config : sig
   type t = {
     policy : Purge_policy.t;  (** purge cadence (default [Eager]) *)
-    binary_impl : binary_impl;  (** default [Use_mjoin] *)
     punct_lifespan : Core.Punct_purge.lifespan option;
         (** expire stored punctuations (§5.1); default [None] *)
     punct_partner_purge : bool;
@@ -49,7 +44,6 @@ module Config : sig
 
   val make :
     ?policy:Purge_policy.t ->
-    ?binary_impl:binary_impl ->
     ?punct_lifespan:Core.Punct_purge.lifespan ->
     ?punct_partner_purge:bool ->
     ?telemetry:Telemetry.t ->

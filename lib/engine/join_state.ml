@@ -277,9 +277,6 @@ let probe_entries_index (t : t) (idx : index) values =
         | Some ids ->
             bucket_entries t idx (fun () -> KeyTbl.remove tbl key) ids)
 
-let probe_entries (t : t) ~attrs values =
-  probe_entries_index t (find_or_build_index t attrs) values
-
 let probe_entries_handle (t : t) (idx : index) v =
   match idx.buckets with
   | Int1 tbl -> (

@@ -81,14 +81,11 @@ val find_index : t -> attr:int -> handle option
     without the index search or key-list allocation. *)
 val probe_handle : t -> handle -> Relational.Value.t -> Relational.Tuple.t list
 
-(** Tick-carrying twins of {!probe} / {!probe_handle}, returning each match
-    as [(insertion tick, tuple)]. The instrumented probe path uses these to
+(** Tick-carrying twin of {!probe_handle}, returning each match as
+    [(insertion tick, tuple)]. The instrumented probe path uses it to
     compute a result's latency span (emission tick − oldest contributing
-    arrival tick); the plain variants stay allocation-lean for the
+    arrival tick); the plain variant stays allocation-lean for the
     uninstrumented hot path. *)
-val probe_entries :
-  t -> attrs:int list -> Relational.Value.t list -> (int * Relational.Tuple.t) list
-
 val probe_entries_handle :
   t -> handle -> Relational.Value.t -> (int * Relational.Tuple.t) list
 

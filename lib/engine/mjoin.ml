@@ -413,6 +413,29 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
       victims_since.(ix);
     found
   in
+  (* Dead on arrival (PJoin's rule [6]): under [Eager], a tuple that has
+     probed and that its purge plan already frees is not stored. The next
+     round would free it anyway — purgeable stays purgeable while the
+     punctuations stay stored — so this only brings that decision forward.
+     A plan's first step pins root attributes only, so one store lookup
+     settles almost every tuple; the walk runs only past a covered first
+     step. *)
+  let eager = policy = Purge_policy.Eager in
+  let dead_on_arrival ix tup =
+    eager
+    &&
+    match cplans.(ix) with
+    | None -> false
+    | Some cp ->
+        let first = cp.csteps.(0) in
+        Punct_store.covers slots.(first.target).puncts
+          (Array.fold_right
+             (fun c acc -> (c.pos, Tuple.get tup c.src_pos) :: acc)
+             first.cpins [])
+        && (Array.length cp.csteps = 1
+           || Core.Chained_purge.tuple_purgeable cp.plan
+                ~joinable:(joinable cp) ~covered ~root_tuple:tup)
+  in
   let purge_round ~trigger ~full =
     stats := { !stats with purge_rounds = !stats.purge_rounds + 1 };
     let t0 = if instrumented then Telemetry.time_ns telemetry else 0 in
@@ -609,7 +632,13 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
                     Telemetry.incr telemetry (name ^ ".inserts")
                   end;
                   let results = probe_from ix tup in
-                  if instrumented then
+                  if dead_on_arrival ix tup then begin
+                    stats :=
+                      { !stats with tuples_purged = !stats.tuples_purged + 1 };
+                    record_purge ~input:input_name ~trigger:"dead_on_arrival"
+                      ~victims:1
+                  end
+                  else if instrumented then
                     (* The global element clock only ever advances with the
                        insertion id, so age-ordered eviction sees the same
                        total order as the uninstrumented default (tick =

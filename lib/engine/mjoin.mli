@@ -19,6 +19,11 @@
       Inputs without a purge plan are never checked: no punctuation can
       ever purge them, exactly the unbounded-state behaviour the safety
       checker exists to flag.
+    - Under [Eager], an arriving tuple that its purge plan already proves
+      dead is not stored (PJoin's dead-on-arrival rule [6]): it emits its
+      matches, counts in [tuples_purged] and traces a [Purge] event with
+      trigger ["dead_on_arrival"]. The next round would drop it anyway, so
+      results do not change. [Lazy], [Adaptive] and [Never] store it.
     - After purging, a stored punctuation [p] of input [q] whose matching
       tuples have fully drained from [q]'s state is *propagated*: the
       operator emits [p] lifted to the output schema, which is what makes

@@ -53,7 +53,7 @@ type semantics = Left | Right | Full | Anti
 
 val pp_semantics : Format.formatter -> semantics -> unit
 
-(** One input of the operator (same shape as {!Sym_hash_join.side}). *)
+(** One input of the operator (same shape as {!Mjoin.input}). *)
 type side = {
   name : string;
   schema : Relational.Schema.t;

@@ -296,9 +296,8 @@ let history_bytes t =
 
 (* Minor collections are stop-the-world across every domain in OCaml 5, so
    their frequency — allocation rate over minor-arena size — is a
-   per-collection synchronisation tax that sharding cannot divide (the
-   purge path allocates O(state) snapshots per punctuation, so the tax
-   grows with state). A larger minor arena makes the syncs rare. Each
+   per-collection synchronisation tax that sharding cannot divide. A
+   larger minor arena makes the syncs rare. Each
    domain owns its arena and spawned domains do NOT inherit a [Gc.set]
    made elsewhere, so this must run inside every domain, workers
    included. The budget is split across the fleet so total arena memory

@@ -45,6 +45,46 @@ grep -q 'purge_round' "$OBS_TMP/tail_out.txt" || {
   exit 1
 }
 
+echo "== usage errors: out-of-range numeric flags =="
+# Each value is out of its flag's range. pstream-run must refuse it as a
+# usage error (exit 124) with a message, never with an uncaught exception
+# from inside the run (exit 125). --sample is checked in both modes.
+expect_usage_error() {
+  set +e
+  ./_build/default/bin/pstream_run.exe "$@" > /dev/null 2> "$OBS_TMP/usage.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 124 ] || [ ! -s "$OBS_TMP/usage.txt" ] \
+    || grep -qi 'uncaught exception' "$OBS_TMP/usage.txt"; then
+    echo "pstream-run $*: exit $status, expected a usage error (124):" >&2
+    cat "$OBS_TMP/usage.txt" >&2
+    exit 1
+  fi
+}
+for flag in --sample=0 --sample=-5 --fanin=0 --lag=-1 --shards=-2 \
+  --checkpoint-every=0 --max-restarts=-1 --delay-ticks=-2 \
+  --quarantine-cap=-1 --state-budget=-5 --drop-punct=1.5 \
+  --late-data=-0.5; do
+  expect_usage_error examples/triangle.query --rounds 20 "$flag"
+done
+expect_usage_error --query examples/star_rst.query \
+  --query examples/star_rsu.query --rounds 20 --sample=0
+
+echo "== auction smoke: bids die on arrival =="
+# Example 1's auction: each item's punctuation arrives before its bids, so
+# the eager join drops every bid once it has probed. The peak stored state
+# is then the generator's 5 open auctions (items only).
+dune exec examples/auction.exe -- 3000 8 > "$OBS_TMP/auction.txt"
+grep -q 'all 3000 totals match the ground truth: true' "$OBS_TMP/auction.txt" || {
+  echo "auction example: totals do not match the ground truth" >&2
+  exit 1
+}
+auction_peak="$(sed -n 's/^peak stored tuples: \([0-9]*\).*/\1/p' "$OBS_TMP/auction.txt")"
+if [ -z "$auction_peak" ] || [ "$auction_peak" -gt 5 ]; then
+  echo "auction example: peak stored tuples '$auction_peak', expected at most 5" >&2
+  exit 1
+fi
+
 echo "== scaling gate: 4x the input must take under 8x the time =="
 # pstream-run on the triangle at fanin 5 (eager policy, default
 # telemetry), 400 against 1600 rounds, at lag 0 (a few live tuples) and

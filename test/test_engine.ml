@@ -9,7 +9,6 @@ module Punct_store = Engine.Punct_store
 module Purge_policy = Engine.Purge_policy
 module Metrics = Engine.Metrics
 module Mjoin = Engine.Mjoin
-module Sym_hash_join = Engine.Sym_hash_join
 module Groupby = Engine.Groupby
 module Project = Engine.Project
 module Executor = Engine.Executor
@@ -303,18 +302,20 @@ let test_metrics_flush_contract () =
   | None -> Alcotest.fail "expected a final sample")
 
 (* ------------------------------------------------------------------ *)
-(* Binary join *)
+(* Binary join: a two-input Mjoin *)
 
-let bin_inputs () =
-  ( { Sym_hash_join.name = "S1"; schema = s1; schemes = [ Scheme.of_attrs s1 [ "B" ] ] },
-    { Sym_hash_join.name = "S2"; schema = s2; schemes = [ Scheme.of_attrs s2 [ "B" ] ] } )
-
-(* the single S1-S2 atom: a binary operator only accepts its own atoms *)
-let bin_preds = [ Predicate.atom "S1" "B" "S2" "B" ]
+let binary_mjoin () =
+  Mjoin.create
+    ~inputs:
+      [
+        { Mjoin.name = "S1"; schema = s1; schemes = [ Scheme.of_attrs s1 [ "B" ] ] };
+        { Mjoin.name = "S2"; schema = s2; schemes = [ Scheme.of_attrs s2 [ "B" ] ] };
+      ]
+    ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
+    ()
 
 let test_binary_join_matches () =
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+  let op = binary_mjoin () in
   check_int "no early match" 0
     (List.length (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ]))));
   let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 100 ])) in
@@ -328,8 +329,7 @@ let test_binary_join_matches () =
   check_int "both stored" 2 (op.Engine.Operator.data_state_size ())
 
 let test_binary_join_purges_opposite () =
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+  let op = binary_mjoin () in
   ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
   ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 2; 8 ])));
   ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
@@ -337,8 +337,7 @@ let test_binary_join_purges_opposite () =
   check_int "purged count" 1 (op.Engine.Operator.stats ()).Engine.Operator.tuples_purged
 
 let test_binary_join_never_loses_results () =
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+  let op = binary_mjoin () in
   ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
   ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
   ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 2; 8 ])));
@@ -349,9 +348,9 @@ let test_binary_join_never_loses_results () =
 let test_binary_join_drops_dead_on_arrival () =
   (* the auction pattern: the punctuation that kills a tuple arrives BEFORE
      the tuple does; it must emit its matches and not be stored (otherwise
-     nothing ever re-checks it and the state leaks — found by bench T1) *)
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+     it sits in state until the next punctuation's round — bench T1's
+     peak) *)
+  let op = binary_mjoin () in
   ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 100 ])));
   ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
   let out = op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])) in
@@ -363,8 +362,7 @@ let test_binary_join_drops_dead_on_arrival () =
     (op.Engine.Operator.stats ()).Engine.Operator.tuples_purged
 
 let test_binary_join_propagates_drained_punct () =
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+  let op = binary_mjoin () in
   let out = op.Engine.Operator.push (Element.Punct (punct s1 [ ("B", 7) ])) in
   let puncts = List.filter Element.is_punct out in
   check_int "propagated immediately when no matching state" 1 (List.length puncts);
@@ -376,8 +374,7 @@ let test_binary_join_propagates_drained_punct () =
   | _ -> Alcotest.fail "expected punct"
 
 let test_binary_join_delays_punct_until_drained () =
-  let left, right = bin_inputs () in
-  let op = Sym_hash_join.create ~left ~right ~predicates:bin_preds () in
+  let op = binary_mjoin () in
   ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
   let out = op.Engine.Operator.push (Element.Punct (punct s1 [ ("B", 7) ])) in
   check_int "not yet propagated" 0
@@ -514,6 +511,11 @@ let binary_query () =
   in
   Cjq.make defs [ Predicate.atom "S1" "B" "S2" "B" ]
 
+(* The binary join once had a second operator, the PJoin-style
+   Sym_hash_join; the property keeps its name. Mjoin now carries that
+   operator's dead-on-arrival rule, so the binary join is checked under
+   Eager (tuples dropped on arrival), Lazy and Never (every tuple stored)
+   against brute force. *)
 let prop_pjoin_equals_mjoin =
   QCheck2.Test.make ~name:"Sym_hash_join = Mjoin = brute force" ~count:60
     QCheck2.Gen.(int_range 0 100_000)
@@ -524,12 +526,14 @@ let prop_pjoin_equals_mjoin =
           ~punct_prob:0.7 ~seed
       in
       let plan = Plan.mjoin [ "S1"; "S2" ] in
-      let run impl =
-        let c = Executor.compile ~config:(Executor.Config.make ~binary_impl:impl ()) q plan in
+      let run policy =
+        let c = Executor.compile ~config:(Executor.Config.make ~policy ()) q plan in
         count_data (Executor.run c (List.to_seq trace)).Executor.outputs
       in
       let expected = Workload.Synth.brute_force_results q trace in
-      run Executor.Use_pjoin = expected && run Executor.Use_mjoin = expected)
+      run Purge_policy.Eager = expected
+      && run (Purge_policy.Lazy 5) = expected
+      && run Purge_policy.Never = expected)
 
 let prop_policies_preserve_results =
   QCheck2.Test.make ~name:"purge policies never change results" ~count:40
@@ -733,7 +737,7 @@ let test_punct_partner_purge_bounds_store () =
 let prop_multiway_equals_brute_force =
   QCheck2.Test.make ~name:"multiway MJoin = brute force on random queries"
     ~count:40
-    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 3 4))
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 4))
     (fun (seed, n_streams) ->
       let q =
         Workload.Synth.random_query
@@ -901,7 +905,9 @@ let prop_punct_store_progress_model =
    that ran a round, each input's victims in that push's [Purge] events must
    equal what a full rescan finds: every input kept as a finite relation,
    every tuple re-decided by [Chained_purge.tuple_purgeable], slot by slot,
-   each slot seeing the purges of the slots before it. *)
+   each slot seeing the purges of the slots before it. Under [Eager] an
+   arriving tuple the same test already frees is a victim of its own push
+   and never joins its relation (dead on arrival). *)
 let prop_incremental_purge_matches_full_scan =
   QCheck2.Test.make ~name:"incremental purge = full-scan reference" ~count:200
     ~print:(fun (seed, shape, lazy_) ->
@@ -913,7 +919,7 @@ let prop_incremental_purge_matches_full_scan =
         (if lazy_ then "lazy:3" else "eager"))
     QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 3) bool)
     (fun (seed, shape, lazy_) ->
-      let n = 3 + (seed mod 2) in
+      let n = 2 + (seed mod 3) in
       let q =
         match shape with
         | 0 | 1 ->
@@ -927,7 +933,7 @@ let prop_incremental_purge_matches_full_scan =
                 ordered_scheme_prob = 0.3;
                 seed;
               }
-        | 2 -> Workload.Synth.cycle_query ~n ()
+        | 2 -> Workload.Synth.cycle_query ~n:(max 3 n) ()
         | _ -> Workload.Synth.chain_query ~n ()
       in
       let trace =
@@ -993,6 +999,11 @@ let prop_incremental_purge_matches_full_scan =
             && Value.is_null (Tuple.get_named tup (Predicate.attr_on atom name)))
           predicates
       in
+      let purgeable plan t =
+        Core.Chained_purge.tuple_purgeable plan
+          ~joinable:(Core.Chained_purge.joinable_in (Hashtbl.find rels))
+          ~covered ~root_tuple:t
+      in
       let full_scan () =
         List.filter_map
           (fun (name, plan) ->
@@ -1000,14 +1011,7 @@ let prop_incremental_purge_matches_full_scan =
             | None -> None
             | Some plan ->
                 let rel = Hashtbl.find rels name in
-                let dead, keep =
-                  List.partition
-                    (fun t ->
-                      Core.Chained_purge.tuple_purgeable plan
-                        ~joinable:(Core.Chained_purge.joinable_in (Hashtbl.find rels))
-                        ~covered ~root_tuple:t)
-                    (Relation.tuples rel)
-                in
+                let dead, keep = List.partition (purgeable plan) (Relation.tuples rel) in
                 Hashtbl.replace rels name (Relation.make (Relation.schema rel) keep);
                 if dead = [] then None else Some (name, List.length dead))
           plans
@@ -1043,15 +1047,28 @@ let prop_incremental_purge_matches_full_scan =
               | Element.Data tup ->
                   let want = if round then full_scan () else [] in
                   let name = Schema.stream_name (Tuple.schema tup) in
-                  if not (join_key_null tup) then
+                  if join_key_null tup then want
+                  else if
+                    (not lazy_)
+                    && Option.fold ~none:false
+                         ~some:(fun plan -> purgeable plan tup)
+                         (List.assoc name plans)
+                  then (name, 1) :: want
+                  else begin
                     Hashtbl.replace rels name (Relation.add (Hashtbl.find rels name) tup);
-                  want
+                    want
+                  end
               | Element.Punct p ->
                   let name = Schema.stream_name (Punctuation.schema p) in
                   Hashtbl.replace stores name (p :: Hashtbl.find stores name);
                   if round then full_scan () else []))
         trace
-      && step (fun () -> ignore (op.Engine.Operator.flush ())) (fun _ -> full_scan ()))
+      && step (fun () -> ignore (op.Engine.Operator.flush ())) (fun _ -> full_scan ())
+      (* dead-on-arrival drops count as purged: tuples are conserved *)
+      &&
+      let s = op.Engine.Operator.stats () in
+      s.Engine.Operator.tuples_in
+      = op.Engine.Operator.data_state_size () + s.Engine.Operator.tuples_purged)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -1106,7 +1123,7 @@ let () =
           Alcotest.test_case "metrics flush contract" `Quick
             test_metrics_flush_contract;
         ] );
-      ( "sym_hash_join",
+      ( "binary join",
         [
           Alcotest.test_case "matches" `Quick test_binary_join_matches;
           Alcotest.test_case "direct purge" `Quick test_binary_join_purges_opposite;

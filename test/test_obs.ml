@@ -388,13 +388,16 @@ let test_emitted_counted_post_sink () =
   | Some s -> check_int "metrics agree" r2.Executor.emitted s.Metrics.emitted
   | None -> Alcotest.fail "no final metrics sample"
 
-(* Conservation laws, across policies and punctuation lags:
-     tuples_in  = data_state  + tuples_purged            (joins never drop)
+(* Conservation laws, for the triangle and a binary join, across policies
+   and punctuation lags:
+     tuples_in  = data_state  + tuples_purged            (joins never drop;
+                                                          dead-on-arrival
+                                                          drops count as
+                                                          purged)
      puncts_in  = punct_state + puncts_purged + puncts_dropped
    and the punct-store identity insertions = size + subsumed + removed. *)
-let test_stats_conservation () =
-  let q = fig5_query () in
-  let plan = Plan.mjoin [ "S1"; "S2"; "S3" ] in
+let check_stats_conservation q =
+  let plan = Plan.mjoin (Query.Cjq.stream_names q) in
   List.iter
     (fun (policy, punct_lag) ->
       let trace =
@@ -411,8 +414,9 @@ let test_stats_conservation () =
         (fun (op : Engine.Operator.t) ->
           let s = op.stats () in
           let ctx =
-            Fmt.str "%s under %a lag=%d" op.Engine.Operator.name
-              Purge_policy.pp policy punct_lag
+            Fmt.str "%d-way %s under %a lag=%d"
+              (List.length (Query.Cjq.stream_names q))
+              op.Engine.Operator.name Purge_policy.pp policy punct_lag
           in
           check_int
             (ctx ^ ": tuples_in = data_state + tuples_purged")
@@ -433,39 +437,19 @@ let test_stats_conservation () =
       (Purge_policy.Adaptive { batch = 5; state_trigger = 40 }, 2);
     ]
 
-(* The same conservation, for the binary sym-hash-join implementation
-   (dead-on-arrival drops count as purged). *)
+let test_stats_conservation () = check_stats_conservation (fig5_query ())
+
+(* The same conservation for the binary join of PJoin [6]: Mjoin applies
+   its dead-on-arrival rule under Eager, and a tuple dropped on arrival
+   counts as purged. *)
 let test_stats_conservation_pjoin () =
-  let sa = s1 and sb = s2 in
-  let q =
-    Query.Cjq.make
-      [
-        Streams.Stream_def.make sa [ Scheme.of_attrs sa [ "B" ] ];
-        Streams.Stream_def.make sb [ Scheme.of_attrs sb [ "B" ] ];
-      ]
-      [ Predicate.atom "S1" "B" "S2" "B" ]
-  in
-  List.iter
-    (fun policy ->
-      let trace =
-        Workload.Synth.round_trace q
-          { Workload.Synth.default_trace_config with rounds = 50 }
-      in
-      let c =
-        Executor.compile ~config:(Executor.Config.make ~policy ~binary_impl:Executor.Use_pjoin ()) q
-          (Plan.mjoin [ "S1"; "S2" ])
-      in
-      ignore (Executor.run c (List.to_seq trace));
-      List.iter
-        (fun (op : Engine.Operator.t) ->
-          let s = op.stats () in
-          check_int "pjoin: tuples conserved" s.Engine.Operator.tuples_in
-            (op.data_state_size () + s.Engine.Operator.tuples_purged);
-          check_int "pjoin: puncts conserved" s.Engine.Operator.puncts_in
-            (op.punct_state_size () + s.Engine.Operator.puncts_purged
-           + s.Engine.Operator.puncts_dropped))
-        (Executor.operators ~c))
-    [ Purge_policy.Eager; Purge_policy.Lazy 5; Purge_policy.Never ]
+  check_stats_conservation
+    (Query.Cjq.make
+       [
+         Streams.Stream_def.make s1 [ Scheme.of_attrs s1 [ "B" ] ];
+         Streams.Stream_def.make s2 [ Scheme.of_attrs s2 [ "B" ] ];
+       ]
+       [ Predicate.atom "S1" "B" "S2" "B" ])
 
 (* Purge lag: eager purges in the same push (lag 0); a lazy batch defers
    (lag > 0). Read off the recorded histograms, as bench B1 does. *)

@@ -358,64 +358,6 @@ let test_antijoin_auction_unsold_items () =
     (op.Engine.Operator.data_state_size () <= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline composition *)
-
-let test_pipeline_select_dedup_sort () =
-  let pipeline =
-    Engine.Pipeline.compose
-      [
-        Select.create ~name:"S1" ~input:s1
-          ~conditions:[ { Select.attr = "A"; op = Select.Gt; value = vi 0 } ]
-          ();
-        Dedup.create ~name:"S1d" ~input:s1 ~key:[ "B" ] ();
-        Sort.create ~input:s1 ~by:"B" ();
-      ]
-  in
-  (* Select and Dedup keep the schema/stream name, so stages chain. *)
-  List.iter
-    (fun e -> ignore (pipeline.Engine.Operator.push e))
-    [
-      data s1 [ 1; 9 ];
-      data s1 [ -1; 4 ] (* filtered *);
-      data s1 [ 2; 9 ] (* duplicate B *);
-      data s1 [ 3; 4 ];
-    ];
-  let out =
-    pipeline.Engine.Operator.push
-      (Element.Punct (Punctuation.watermark s1 "B" (vi 100)))
-  in
-  Alcotest.(check (list (testable Value.pp ( = ))))
-    "filtered, deduped, sorted"
-    [ vi 4; vi 9 ]
-    (values_of out "B")
-
-let test_pipeline_rejects_mismatch () =
-  match
-    Engine.Pipeline.compose
-      [
-        Select.create ~name:"sel" ~input:s1 ~conditions:[] ();
-        Dedup.create ~input:s2 ~key:[ "B" ] ();
-      ]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected mismatch rejection"
-
-let test_pipeline_flush_drains_all_stages () =
-  let pipeline =
-    Engine.Pipeline.compose
-      [
-        Dedup.create ~name:"S1" ~input:s1 ~key:[ "A" ] ();
-        Sort.create ~input:s1 ~by:"B" ();
-      ]
-  in
-  List.iter
-    (fun e -> ignore (pipeline.Engine.Operator.push e))
-    [ data s1 [ 1; 8 ]; data s1 [ 2; 3 ] ];
-  let out = pipeline.Engine.Operator.flush () in
-  Alcotest.(check (list (testable Value.pp ( = ))))
-    "sorted on flush" [ vi 3; vi 8 ] (values_of out "B")
-
-(* ------------------------------------------------------------------ *)
 (* state breakdown *)
 
 let test_state_breakdown_names_leaking_operator () =
@@ -532,12 +474,6 @@ let () =
           Alcotest.test_case "left punct purges right" `Quick
             test_antijoin_left_punct_purges_right_state;
           Alcotest.test_case "auction unsold items" `Quick test_antijoin_auction_unsold_items;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "select|dedup|sort" `Quick test_pipeline_select_dedup_sort;
-          Alcotest.test_case "mismatch rejected" `Quick test_pipeline_rejects_mismatch;
-          Alcotest.test_case "flush drains" `Quick test_pipeline_flush_drains_all_stages;
         ] );
       ( "diagnostics",
         [

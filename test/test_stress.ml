@@ -18,8 +18,7 @@ let test_auction_50k_elements () =
   let trace = Workload.Auction.trace cfg in
   check_bool "large trace" true (List.length trace >= 50_000);
   let c =
-    Executor.compile ~config:(Executor.Config.make ~binary_impl:Executor.Use_pjoin ~policy:Purge_policy.Eager ()) query
-      (Plan.mjoin [ "item"; "bid" ])
+    Executor.compile query (Plan.mjoin [ "item"; "bid" ])
   in
   let t0 = Sys.time () in
   let r = Executor.run ~sample_every:5000 c (List.to_seq trace) in
