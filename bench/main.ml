@@ -1534,18 +1534,10 @@ let b4 () =
     { Synth.rounds = 400; tuples_per_round = 4; punct_lag = 60; trace_seed = 7 }
   in
   let union_defs reg =
-    let seen = Hashtbl.create 8 in
-    List.concat_map
-      (fun (e : Query_registry.entry) ->
-        List.filter
-          (fun d ->
-            let n = Streams.Stream_def.name d in
-            if Hashtbl.mem seen n then false
-            else (
-              Hashtbl.add seen n ();
-              true))
-          (Cjq.stream_defs e.Query_registry.query))
-      (Query_registry.entries reg)
+    Cjq.union_defs
+      (List.map
+         (fun (e : Query_registry.entry) -> e.Query_registry.query)
+         (Query_registry.entries reg))
   in
   let round_workload reg = Synth.round_trace_defs (union_defs reg) trace_config in
   (* The residually-shared scenarios want a *selective* shared sub-join:

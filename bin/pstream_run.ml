@@ -9,32 +9,43 @@ open Cmdliner
 module Element = Streams.Element
 module Fault_injector = Streams.Fault_injector
 
-(* Sharded execution path: route the trace through a Parallel_executor,
+(* The closing lines of every mode: watchdog alarms, the trace file, and
+   the report built by [report]. Exit 3 when the watchdog latched an
+   alarm. *)
+let finish ~alarms ~trace_file ~report_file report =
+  List.iter
+    (fun a -> Fmt.pr "WATCHDOG ALARM: %a@." Obs.Watchdog.pp_alarm a)
+    alarms;
+  Option.iter (Fmt.pr "trace written to %s@.") trace_file;
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Obs.Json.to_string (Obs.Report.to_json (report ())));
+      output_char oc '\n';
+      close_out oc;
+      Fmt.pr "report written to %s@." path)
+    report_file;
+  if alarms <> [] then 3 else 0
+
+(* Sharded execution path, for one query or a registry: run the fleet,
    then print the same summary surface the sequential path does — plus the
-   router's routing attributes and a per-shard state table — so the two
-   modes are directly comparable. The merged event trace is written with
-   each worker event tagged by its shard; injector events lead it,
-   untagged, like the driver's own. *)
-let run_sharded ~shards ~policy ~sample_every ~label ~trace_file ~report_file
-    ~meta ~contract_config ~kills ~max_restarts ~checkpoint ~resume
-    ~fault_events ~exporter query trace =
-  let watchdog = Obs.Watchdog.create () in
-  let pexec =
-    Engine.Parallel_executor.create
-      ~config:(Engine.Executor.Config.make ~policy ())
-      ~watchdog ~instrument:true ?contract_config ~kills ~max_restarts
-      ?checkpoint ?resume ~shards query
-      (Query.Plan.mjoin (Query.Cjq.stream_names query))
-  in
+   router's routing attributes over [streams] and a per-shard state table
+   — so the modes are directly comparable; [print_answer] prints the
+   answer lines. The merged event trace is written with each worker event
+   tagged by its shard; injector events lead it, untagged, like the
+   driver's own. *)
+let run_sharded ~pexec ~streams ~policy ~sample_every ~label ~trace_file
+    ~report_file ~meta ~fault_events ~exporter ~print_answer trace =
   let router = Engine.Parallel_executor.router pexec in
-  Fmt.pr "shards: %d (%s partitioning)@." shards
+  Fmt.pr "shards: %d (%s partitioning)@."
+    (Engine.Parallel_executor.n_shards pexec)
     (if Engine.Shard_router.exact router then "exact" else "key-aligned");
   List.iter
     (fun s ->
       match Engine.Shard_router.routing_attr router s with
       | Some a -> Fmt.pr "  %s routed on %s@." s a
       | None -> ())
-    (Query.Cjq.stream_names query);
+    streams;
   let result =
     Engine.Parallel_executor.run ~sample_every ~label ?exporter pexec
       (List.to_seq trace)
@@ -83,8 +94,7 @@ let run_sharded ~shards ~policy ~sample_every ~label ~trace_file ~report_file
     result.Engine.Parallel_executor.metrics;
   Fmt.pr "growth slope (second half): %.4f tuples/element@."
     (Engine.Metrics.growth_slope result.Engine.Parallel_executor.metrics);
-  Fmt.pr "output hash: %s@."
-    (Engine.Executor.output_hash result.Engine.Parallel_executor.outputs);
+  print_answer result;
   let crashes = Engine.Parallel_executor.crash_count pexec in
   if crashes > 0 then begin
     let log = Engine.Parallel_executor.restarts_log pexec in
@@ -111,31 +121,24 @@ let run_sharded ~shards ~policy ~sample_every ~label ~trace_file ~report_file
           (if r.restored then " after checkpoint restore" else ""))
       log
   end;
-  let alarms = Engine.Parallel_executor.alarms pexec in
-  List.iter
-    (fun a -> Fmt.pr "WATCHDOG ALARM: %a@." Obs.Watchdog.pp_alarm a)
-    alarms;
-  (match trace_file with
-  | Some path -> Fmt.pr "trace written to %s@." path
-  | None -> ());
-  (match report_file with
-  | Some path ->
-      let rep = Engine.Parallel_executor.report ~meta pexec result in
-      let oc = open_out path in
-      output_string oc (Obs.Json.to_string (Obs.Report.to_json rep));
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "report written to %s@." path
-  | None -> ());
-  if alarms <> [] then 3 else 0
+  finish
+    ~alarms:(Engine.Parallel_executor.alarms pexec)
+    ~trace_file ~report_file
+    (fun () -> Engine.Parallel_executor.report ~meta pexec result)
+
+let print_query_answer qid outputs =
+  let a = Engine.Multi_executor.answer outputs in
+  Fmt.pr "query %s: emitted %d results, output hash %s@." qid
+    a.Engine.Multi_executor.emitted a.Engine.Multi_executor.hash
 
 (* Multi-query mode: N --query files share one input and, where the
-   shareability check admits it, one physical sub-join. The workload,
-   chaos and contract flags of the single-query mode do not apply here —
-   the surface is the registry, the shared plan, per-query output hashes
-   and the owner-labelled state breakdown. *)
+   shareability check admits it, one physical sub-join. The surface is the
+   registry, the shared plan, per-query output hashes and the
+   owner-labelled state breakdown; under --shards N the fleet runs the
+   shared DAG. *)
 let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
-    ~force ~sample_every ~shards ~trace_file ~report_file ~listen =
+    ~force ~sample_every ~shards ~kills ~max_restarts ~trace_file
+    ~report_file ~exporter =
   let parsed =
     List.map
       (fun f ->
@@ -174,7 +177,7 @@ let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
     | exception Invalid_argument m ->
         Fmt.epr "%s@." m;
         1
-    | reg -> (
+    | reg ->
         let unsafe_qids =
           List.filter_map
             (fun (e : Query.Query_registry.entry) ->
@@ -220,18 +223,10 @@ let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
               | Core.Planner.Independent _ -> Fmt.pr "  %s: independent@." qid)
             mplan.Core.Planner.assignments;
           let defs =
-            let seen = Hashtbl.create 8 in
-            List.concat_map
-              (fun (e : Query.Query_registry.entry) ->
-                List.filter
-                  (fun d ->
-                    let n = Streams.Stream_def.name d in
-                    if Hashtbl.mem seen n then false
-                    else (
-                      Hashtbl.add seen n ();
-                      true))
-                  (Query.Cjq.stream_defs e.Query.Query_registry.query))
-              entries
+            Query.Cjq.union_defs
+              (List.map
+                 (fun (e : Query.Query_registry.entry) -> e.query)
+                 entries)
           in
           let trace =
             Workload.Synth.round_trace_defs defs
@@ -242,113 +237,73 @@ let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
                 trace_seed = 42;
               }
           in
-          Fmt.pr "policy: %a@." Engine.Purge_policy.pp policy;
-          if shards > 1 then begin
-            let s =
-              Engine.Multi_executor.run_sharded
+          let meta =
+            [
+              ( "policy",
+                Obs.Json.String (Fmt.str "%a" Engine.Purge_policy.pp policy) );
+              ("share", Obs.Json.Bool share);
+            ]
+          in
+          if shards > 1 then
+            let pexec =
+              Engine.Parallel_executor.create_multi
                 ~config:(Engine.Executor.Config.make ~policy ())
-                ~share ~shards reg (List.to_seq trace)
+                ~share ~watchdog:(Obs.Watchdog.create ()) ~instrument:true
+                ~kills ~max_restarts ~shards reg
             in
-            Fmt.pr "shards: %d@.consumed %d elements@."
-              s.Engine.Multi_executor.s_shards
-              s.Engine.Multi_executor.s_consumed;
+            run_sharded ~pexec
+              ~streams:(List.map Streams.Stream_def.name defs)
+              ~policy ~sample_every ~label:"multi-query" ~trace_file
+              ~report_file ~meta ~fault_events:[] ~exporter
+              ~print_answer:(fun r ->
+                List.iter
+                  (fun (qid, outputs) -> print_query_answer qid outputs)
+                  r.Engine.Parallel_executor.per_query)
+              trace
+          else begin
+            Fmt.pr "policy: %a@." Engine.Purge_policy.pp policy;
+            let sink =
+              match trace_file with
+              | Some path -> Obs.Sink.jsonl_file path
+              | None -> Obs.Sink.null
+            in
+            let telemetry =
+              Engine.Telemetry.create ~sink ~watchdog:(Obs.Watchdog.create ())
+                ()
+            in
+            let m =
+              Engine.Multi_executor.create
+                ~config:(Engine.Executor.Config.make ~policy ~telemetry ())
+                ~share reg
+            in
+            let result =
+              Engine.Multi_executor.run ~sample_every ~label:"multi-query"
+                ?exporter m (List.to_seq trace)
+            in
+            Engine.Telemetry.close telemetry;
+            Fmt.pr "consumed %d elements@."
+              result.Engine.Multi_executor.consumed;
             List.iter
               (fun (qid, (qr : Engine.Multi_executor.query_result)) ->
-                Fmt.pr "query %s: emitted %d results, output hash %s@." qid
-                  qr.Engine.Multi_executor.emitted
-                  qr.Engine.Multi_executor.hash)
-              s.Engine.Multi_executor.s_per_query;
-            0
+                print_query_answer qid qr.Engine.Multi_executor.outputs)
+              result.Engine.Multi_executor.per_query;
+            List.iter
+              (fun (owner, ops) ->
+                List.iter
+                  (fun (b : Engine.Executor.breakdown) ->
+                    Fmt.pr "%s %s: data=%d puncts=%d index=%d bytes=%d@." owner
+                      b.Engine.Executor.op_name b.Engine.Executor.data
+                      b.Engine.Executor.puncts b.Engine.Executor.index
+                      b.Engine.Executor.bytes)
+                  ops)
+              (Engine.Multi_executor.state_breakdown m);
+            Fmt.pr "total state bytes: %d (shared state counted once)@."
+              (Engine.Multi_executor.total_state_bytes m);
+            finish
+              ~alarms:(Engine.Telemetry.alarms telemetry)
+              ~trace_file ~report_file
+              (fun () -> Engine.Multi_executor.report ~meta m result)
           end
-          else begin
-            let exporter =
-              match listen with
-              | None -> Ok None
-              | Some address -> (
-                  match Obs.Exporter.start address with
-                  | Ok ex ->
-                      Fmt.epr "metrics: serving OpenMetrics on %s@."
-                        (Obs.Exporter.endpoint ex);
-                      Ok (Some ex)
-                  | Error e ->
-                      Fmt.epr "metrics: cannot listen: %s@." e;
-                      Error 1)
-            in
-            match exporter with
-            | Error code -> code
-            | Ok exporter ->
-                Fun.protect
-                  ~finally:(fun () -> Option.iter Obs.Exporter.stop exporter)
-                @@ fun () ->
-                let sink =
-                  match trace_file with
-                  | Some path -> Obs.Sink.jsonl_file path
-                  | None -> Obs.Sink.null
-                in
-                let telemetry =
-                  Engine.Telemetry.create ~sink
-                    ~watchdog:(Obs.Watchdog.create ()) ()
-                in
-                let m =
-                  Engine.Multi_executor.create
-                    ~config:
-                      (Engine.Executor.Config.make ~policy ~telemetry ())
-                    ~share reg
-                in
-                let result =
-                  Engine.Multi_executor.run ~sample_every ~label:"multi-query"
-                    ?exporter m (List.to_seq trace)
-                in
-                Engine.Telemetry.close telemetry;
-                Fmt.pr "consumed %d elements@."
-                  result.Engine.Multi_executor.consumed;
-                List.iter
-                  (fun (qid, (qr : Engine.Multi_executor.query_result)) ->
-                    Fmt.pr "query %s: emitted %d results, output hash %s@."
-                      qid qr.Engine.Multi_executor.emitted
-                      qr.Engine.Multi_executor.hash)
-                  result.Engine.Multi_executor.per_query;
-                List.iter
-                  (fun (owner, ops) ->
-                    List.iter
-                      (fun (b : Engine.Executor.breakdown) ->
-                        Fmt.pr "%s %s: data=%d puncts=%d index=%d bytes=%d@."
-                          owner b.Engine.Executor.op_name
-                          b.Engine.Executor.data b.Engine.Executor.puncts
-                          b.Engine.Executor.index b.Engine.Executor.bytes)
-                      ops)
-                  (Engine.Multi_executor.state_breakdown m);
-                Fmt.pr "total state bytes: %d (shared state counted once)@."
-                  (Engine.Multi_executor.total_state_bytes m);
-                (match trace_file with
-                | Some path -> Fmt.pr "trace written to %s@." path
-                | None -> ());
-                (match report_file with
-                | Some path ->
-                    let rep =
-                      Engine.Multi_executor.report
-                        ~meta:
-                          [
-                            ( "policy",
-                              Obs.Json.String
-                                (Fmt.str "%a" Engine.Purge_policy.pp policy) );
-                            ("share", Obs.Json.Bool share);
-                          ]
-                        m result
-                    in
-                    let oc = open_out path in
-                    output_string oc
-                      (Obs.Json.to_string (Obs.Report.to_json rep));
-                    output_char oc '\n';
-                    close_out oc;
-                    Fmt.pr "report written to %s@." path
-                | None -> ());
-                let alarms = Engine.Telemetry.alarms telemetry in
-                List.iter
-                  (fun a -> Fmt.pr "WATCHDOG ALARM: %a@." Obs.Watchdog.pp_alarm a)
-                  alarms;
-                if alarms <> [] then 3 else 0
-          end)
 
 let pp_contract_summary ct =
   Fmt.pr
@@ -363,7 +318,7 @@ let pp_contract_summary ct =
 
 let run_single file rounds tuples_per_round punct_lag policy force sample_every
     replay save_trace report_file trace_file shards faults contract_config
-    kills max_restarts checkpoint_every checkpoint_dir resume_dir listen =
+    kills max_restarts checkpoint_every checkpoint_dir resume_dir exporter =
   match Query.Parser.parse_file file with
   | exception Query.Parser.Parse_error { line; message } ->
       Fmt.epr "%s:%d: %s@." file line message;
@@ -371,7 +326,7 @@ let run_single file rounds tuples_per_round punct_lag policy force sample_every
   | exception Query.Cjq.Invalid message ->
       Fmt.epr "%s: invalid query: %s@." file message;
       1
-  | query -> (
+  | query ->
       let kind = Query.Cjq.kind query in
       let safe = Core.Checker.is_safe_kind query in
       Fmt.pr "query: %a@.safe: %b@." Query.Cjq.pp query safe;
@@ -384,20 +339,6 @@ let run_single file rounds tuples_per_round punct_lag policy force sample_every
            its unmatched-side emission is not punctuation-provable); use \
            --force to run it anyway@.";
         2
-      end
-      else if
-        (checkpoint_every <> None || checkpoint_dir <> None
-       || resume_dir <> None)
-        && shards <= 1
-      then begin
-        Fmt.epr
-          "--checkpoint-every / --checkpoint-dir / --resume require --shards \
-           > 1 (checkpoints are cuts of the sharded executor)@.";
-        1
-      end
-      else if checkpoint_dir <> None && checkpoint_every = None then begin
-        Fmt.epr "--checkpoint-dir requires --checkpoint-every@.";
-        1
       end
       else
         let trace =
@@ -440,218 +381,261 @@ let run_single file rounds tuples_per_round punct_lag policy force sample_every
             (fun v -> Fmt.epr "  %a@." Streams.Trace.pp_violation v)
             violations
         end;
-        (* The exporter outlives the run (clients may connect between
-           samples); tear it down whatever way the run ends. *)
-        let exporter =
-          match listen with
-          | None -> Ok None
-          | Some address -> (
-              match Obs.Exporter.start address with
-              | Ok ex ->
-                  Fmt.epr "metrics: serving OpenMetrics on %s@."
-                    (Obs.Exporter.endpoint ex);
-                  Ok (Some ex)
-              | Error e ->
-                  Fmt.epr "metrics: cannot listen: %s@." e;
-                  Error 1)
+        let meta =
+          [
+            ("query", Obs.Json.String file);
+            ( "policy",
+              Obs.Json.String (Fmt.str "%a" Engine.Purge_policy.pp policy) );
+            ("safe", Obs.Json.Bool safe);
+          ]
         in
-        match exporter with
-        | Error code -> code
-        | Ok exporter ->
-        Fun.protect
-          ~finally:(fun () -> Option.iter Obs.Exporter.stop exporter)
-        @@ fun () ->
-        match
-          if shards > 1 then begin
-            (* Everything the regenerated trace (and hence a checkpoint's
-               validity) depends on; checkpoint/resume flags themselves are
-               deliberately excluded so a resume run may differ in them. *)
-            let fingerprint =
-              Engine.Checkpoint.fingerprint
-                [
-                  ("query", Fmt.str "%a" Query.Cjq.pp query);
-                  ("policy", Fmt.str "%a" Engine.Purge_policy.pp policy);
-                  ("shards", string_of_int shards);
-                  ("sample_every", string_of_int sample_every);
-                  ("rounds", string_of_int rounds);
-                  ("fanin", string_of_int tuples_per_round);
-                  ("lag", string_of_int punct_lag);
-                  ("replay", Option.value replay ~default:"");
-                  ( "chaos",
-                    match faults with
-                    | None -> ""
-                    | Some c ->
-                        Fmt.str "%d:%g:%g:%g:%d:%g:%a" c.Fault_injector.seed
-                          c.Fault_injector.drop_punct c.Fault_injector.dup_punct
-                          c.Fault_injector.delay_punct
-                          c.Fault_injector.delay_ticks
-                          c.Fault_injector.late_data
-                          Fmt.(
-                            option (fun ppf (s, a, t) ->
-                                Fmt.pf ppf "%s:%d:%d" s a t))
-                          c.Fault_injector.stall );
-                ]
-            in
-            let checkpoint =
-              match checkpoint_every with
-              | None -> None
-              | Some every ->
-                  let dir =
-                    match checkpoint_dir with
-                    | Some _ as d -> d
-                    | None -> resume_dir
-                  in
-                  Some (Engine.Checkpoint.config ?dir ~fingerprint ~every ())
-            in
-            let resume =
-              match resume_dir with
-              | None -> None
-              | Some dir ->
-                  let schema =
-                    Engine.Executor.output_schema
-                      (Engine.Executor.compile query
-                         (Query.Plan.mjoin (Query.Cjq.stream_names query)))
-                  in
-                  let c = Engine.Checkpoint.load_latest ~dir ~fingerprint ~schema in
-                  Fmt.pr
-                    "resume: checkpoint at barrier %d, %d element(s) already \
-                     consumed@."
-                    c.Engine.Checkpoint.barrier c.Engine.Checkpoint.consumed;
-                  Some c
-            in
-            run_sharded ~shards ~policy ~sample_every ~label:file ~trace_file
-              ~report_file
-              ~meta:
-                [
-                  ("query", Obs.Json.String file);
-                  ( "policy",
-                    Obs.Json.String (Fmt.str "%a" Engine.Purge_policy.pp policy)
-                  );
-                  ("safe", Obs.Json.Bool safe);
-                ]
-              ~contract_config ~kills ~max_restarts ~checkpoint ~resume
-              ~fault_events ~exporter query trace
-          end
-          else begin
-            let sink =
-              match trace_file with
-              | Some path -> Obs.Sink.jsonl_file path
-              | None -> Obs.Sink.null
-            in
-            let telemetry =
-              Engine.Telemetry.create ~sink ~watchdog:(Obs.Watchdog.create ())
-                ()
-            in
-            List.iter (Engine.Telemetry.emit telemetry) fault_events;
-            let contract = Option.map Engine.Contract.create contract_config in
-            let compiled =
-              Engine.Executor.compile
-                ~config:
-                  (Engine.Executor.Config.make ~policy ~telemetry ?contract ())
-                query
-                (Query.Plan.mjoin (Query.Cjq.stream_names query))
-            in
-            let result =
-              Engine.Executor.run ~sample_every ~label:file ?exporter compiled
-                (List.to_seq trace)
-            in
-            Engine.Telemetry.close telemetry;
-            let n_results =
-              List.length
-                (List.filter Element.is_data result.Engine.Executor.outputs)
-            in
-            Fmt.pr "policy: %a@." Engine.Purge_policy.pp policy;
-            Fmt.pr "consumed %d elements, emitted %d results@."
-              result.Engine.Executor.consumed n_results;
-            List.iter
-              (fun (op : Engine.Operator.t) ->
-                Fmt.pr "%s: %a@." op.Engine.Operator.name
-                  Engine.Operator.pp_stats
-                  (op.Engine.Operator.stats ()))
-              (Engine.Executor.operators ~c:compiled);
-            Fmt.pr "@.state series:@.%a@." Engine.Metrics.pp_series
-              result.Engine.Executor.metrics;
-            Fmt.pr "growth slope (second half): %.4f tuples/element@."
-              (Engine.Metrics.growth_slope result.Engine.Executor.metrics);
-            Fmt.pr "index growth slope (second half): %.4f entries/element@."
-              (Engine.Metrics.index_growth_slope
-                 result.Engine.Executor.metrics);
-            Fmt.pr "output hash: %s@."
-              (Engine.Executor.output_hash result.Engine.Executor.outputs);
-            Option.iter pp_contract_summary contract;
-            let alarms = Engine.Telemetry.alarms telemetry in
-            List.iter
-              (fun a -> Fmt.pr "WATCHDOG ALARM: %a@." Obs.Watchdog.pp_alarm a)
-              alarms;
-            (match trace_file with
-            | Some path -> Fmt.pr "trace written to %s@." path
-            | None -> ());
-            (match report_file with
-            | Some path ->
-                let rep =
-                  Engine.Executor.report
-                    ~meta:
-                      [
-                        ("query", Obs.Json.String file);
-                        ( "policy",
-                          Obs.Json.String
-                            (Fmt.str "%a" Engine.Purge_policy.pp policy) );
-                        ("safe", Obs.Json.Bool safe);
-                      ]
-                    compiled result
+        let plan = Query.Plan.mjoin (Query.Cjq.stream_names query) in
+        if shards > 1 then begin
+          (* Everything the regenerated trace (and hence a checkpoint's
+             validity) depends on; checkpoint/resume flags themselves are
+             deliberately excluded so a resume run may differ in them. *)
+          let fingerprint =
+            Engine.Checkpoint.fingerprint
+              [
+                ("query", Fmt.str "%a" Query.Cjq.pp query);
+                ("policy", Fmt.str "%a" Engine.Purge_policy.pp policy);
+                ("shards", string_of_int shards);
+                ("sample_every", string_of_int sample_every);
+                ("rounds", string_of_int rounds);
+                ("fanin", string_of_int tuples_per_round);
+                ("lag", string_of_int punct_lag);
+                ("replay", Option.value replay ~default:"");
+                ( "chaos",
+                  match faults with
+                  | None -> ""
+                  | Some c ->
+                      Fmt.str "%d:%g:%g:%g:%d:%g:%a" c.Fault_injector.seed
+                        c.Fault_injector.drop_punct c.Fault_injector.dup_punct
+                        c.Fault_injector.delay_punct
+                        c.Fault_injector.delay_ticks
+                        c.Fault_injector.late_data
+                        Fmt.(
+                          option (fun ppf (s, a, t) ->
+                              Fmt.pf ppf "%s:%d:%d" s a t))
+                        c.Fault_injector.stall );
+              ]
+          in
+          let checkpoint =
+            match checkpoint_every with
+            | None -> None
+            | Some every ->
+                let dir =
+                  match checkpoint_dir with
+                  | Some _ as d -> d
+                  | None -> resume_dir
                 in
-                let oc = open_out path in
-                output_string oc (Obs.Json.to_string (Obs.Report.to_json rep));
-                output_char oc '\n';
-                close_out oc;
-                Fmt.pr "report written to %s@." path
-            | None -> ());
-            if alarms <> [] then 3 else 0
-          end
-        with
-        | code -> code
-        | exception Engine.Contract.Violation_failure v ->
-            Fmt.epr
-              "CONTRACT VIOLATION (fatal): %s at op %s input %s, tick %d@."
-              v.Engine.Contract.kind v.Engine.Contract.op
-              v.Engine.Contract.input v.Engine.Contract.tick;
-            4
-        | exception Engine.Parallel_executor.Shard_failed { shard; attempts; reason }
-          ->
-            Fmt.epr "SHARD FAILED: shard %d dead after %d restart(s): %s@."
-              shard attempts reason;
-            5
-        | exception Engine.Checkpoint.Invalid m ->
-            Fmt.epr "INVALID CHECKPOINT: %s@." m;
-            6)
+                Some (Engine.Checkpoint.config ?dir ~fingerprint ~every ())
+          in
+          let resume =
+            match resume_dir with
+            | None -> None
+            | Some dir ->
+                let schema =
+                  Engine.Executor.output_schema
+                    (Engine.Executor.compile query plan)
+                in
+                let c =
+                  Engine.Checkpoint.load_latest ~dir ~fingerprint ~schema
+                in
+                Fmt.pr
+                  "resume: checkpoint at barrier %d, %d element(s) already \
+                   consumed@."
+                  c.Engine.Checkpoint.barrier c.Engine.Checkpoint.consumed;
+                Some c
+          in
+          let pexec =
+            Engine.Parallel_executor.create
+              ~config:(Engine.Executor.Config.make ~policy ())
+              ~watchdog:(Obs.Watchdog.create ()) ~instrument:true
+              ?contract_config ~kills ~max_restarts ?checkpoint ?resume ~shards
+              query plan
+          in
+          run_sharded ~pexec ~streams:(Query.Cjq.stream_names query) ~policy
+            ~sample_every ~label:file ~trace_file ~report_file ~meta
+            ~fault_events ~exporter
+            ~print_answer:(fun r ->
+              Fmt.pr "output hash: %s@."
+                (Engine.Executor.output_hash
+                   r.Engine.Parallel_executor.outputs))
+            trace
+        end
+        else begin
+          let sink =
+            match trace_file with
+            | Some path -> Obs.Sink.jsonl_file path
+            | None -> Obs.Sink.null
+          in
+          let telemetry =
+            Engine.Telemetry.create ~sink ~watchdog:(Obs.Watchdog.create ()) ()
+          in
+          List.iter (Engine.Telemetry.emit telemetry) fault_events;
+          let contract = Option.map Engine.Contract.create contract_config in
+          let compiled =
+            Engine.Executor.compile
+              ~config:
+                (Engine.Executor.Config.make ~policy ~telemetry ?contract ())
+              query plan
+          in
+          let result =
+            Engine.Executor.run ~sample_every ~label:file ?exporter compiled
+              (List.to_seq trace)
+          in
+          Engine.Telemetry.close telemetry;
+          let n_results =
+            List.length
+              (List.filter Element.is_data result.Engine.Executor.outputs)
+          in
+          Fmt.pr "policy: %a@." Engine.Purge_policy.pp policy;
+          Fmt.pr "consumed %d elements, emitted %d results@."
+            result.Engine.Executor.consumed n_results;
+          List.iter
+            (fun (op : Engine.Operator.t) ->
+              Fmt.pr "%s: %a@." op.Engine.Operator.name
+                Engine.Operator.pp_stats
+                (op.Engine.Operator.stats ()))
+            (Engine.Executor.operators ~c:compiled);
+          Fmt.pr "@.state series:@.%a@." Engine.Metrics.pp_series
+            result.Engine.Executor.metrics;
+          Fmt.pr "growth slope (second half): %.4f tuples/element@."
+            (Engine.Metrics.growth_slope result.Engine.Executor.metrics);
+          Fmt.pr "index growth slope (second half): %.4f entries/element@."
+            (Engine.Metrics.index_growth_slope result.Engine.Executor.metrics);
+          Fmt.pr "output hash: %s@."
+            (Engine.Executor.output_hash result.Engine.Executor.outputs);
+          Option.iter pp_contract_summary contract;
+          finish
+            ~alarms:(Engine.Telemetry.alarms telemetry)
+            ~trace_file ~report_file
+            (fun () -> Engine.Executor.report ~meta compiled result)
+        end
 
+(* A flag the chosen mode does not run is refused (exit 1) instead of
+   ignored. Flags that only tune another flag (--chaos-seed, --delay-ticks,
+   --quarantine-cap, --max-restarts) stay silent. *)
+let refused_flag ~multi ~shards ~no_share ~replay ~save_trace ~faults
+    ~contract_config ~kills ~checkpoint_every ~checkpoint_dir ~resume_dir =
+  let given flags =
+    List.filter_map (fun (flag, set) -> if set then Some flag else None) flags
+  in
+  let chaos =
+    match faults with
+    | None -> []
+    | Some (f : Fault_injector.config) ->
+        given
+          [
+            ("--drop-punct", f.drop_punct > 0.);
+            ("--dup-punct", f.dup_punct > 0.);
+            ("--delay-punct", f.delay_punct > 0.);
+            ("--late-data", f.late_data > 0.);
+            ("--stall", f.stall <> None);
+          ]
+  in
+  let contract =
+    match contract_config with
+    | None -> []
+    | Some (c : Engine.Contract.config) when c.grace <> None -> [ "--grace" ]
+    | Some c when c.state_budget_bytes <> None -> [ "--state-budget" ]
+    | Some _ -> [ "--on-violation" ]
+  in
+  let checkpoints =
+    given
+      [
+        ("--checkpoint-every", checkpoint_every <> None);
+        ("--checkpoint-dir", checkpoint_dir <> None);
+        ("--resume", resume_dir <> None);
+      ]
+  in
+  let single_only =
+    given [ ("--replay", replay <> None); ("--save-trace", save_trace <> None) ]
+    @ chaos @ contract @ checkpoints
+  in
+  if multi && single_only <> [] then
+    Some (Fmt.str "%s applies only to single-query mode" (List.hd single_only))
+  else if (not multi) && no_share then
+    Some "--no-share applies only to multi-query mode (--query)"
+  else if checkpoints <> [] && shards <= 1 then
+    Some
+      "--checkpoint-every / --checkpoint-dir / --resume require --shards > 1 \
+       (checkpoints are cuts of the sharded executor)"
+  else if checkpoint_dir <> None && checkpoint_every = None then
+    Some "--checkpoint-dir requires --checkpoint-every"
+  else if kills <> [] && shards <= 1 then
+    Some "--kill-shard requires --shards > 1"
+  else
+    List.find_opt (fun (k : Fault_injector.kill) -> k.shard >= shards) kills
+    |> Option.map (fun (k : Fault_injector.kill) ->
+           Fmt.str "--kill-shard %d:%d: shard %d does not exist (--shards %d)"
+             k.shard k.at_seq k.shard shards)
+
+(* The exporter outlives the run (clients may connect between samples), so
+   it is started and torn down here, once for both modes, as is the
+   mapping from a fatal exception to its exit code. *)
 let run_query file multi_files no_share rounds tuples_per_round punct_lag
     policy force sample_every replay save_trace report_file trace_file shards
     faults contract_config kills max_restarts checkpoint_every checkpoint_dir
     resume_dir listen =
-  match (multi_files, file) with
-  | _ :: _, Some _ ->
-      Fmt.epr "--query and the QUERY positional are mutually exclusive@.";
-      1
-  | _ :: _, None
-    when shards > 1
-         && (report_file <> None || trace_file <> None || listen <> None) ->
-      Fmt.epr
-        "--report / --trace / --listen require --shards 1 in multi-query mode \
-         (the sharded multi-query driver runs uninstrumented)@.";
-      1
-  | _ :: _, None ->
-      run_multi ~files:multi_files ~no_share ~rounds ~tuples_per_round
-        ~punct_lag ~policy ~force ~sample_every ~shards ~trace_file
-        ~report_file ~listen
-  | [], None ->
-      Fmt.epr "a QUERY file (or at least one --query) is required@.";
-      1
-  | [], Some file ->
-      run_single file rounds tuples_per_round punct_lag policy force
-        sample_every replay save_trace report_file trace_file shards faults
-        contract_config kills max_restarts checkpoint_every checkpoint_dir
-        resume_dir listen
+  let usage_error =
+    match (multi_files, file) with
+    | _ :: _, Some _ ->
+        Some "--query and the QUERY positional are mutually exclusive"
+    | [], None -> Some "a QUERY file (or at least one --query) is required"
+    | _ ->
+        refused_flag ~multi:(file = None) ~shards ~no_share ~replay
+          ~save_trace ~faults ~contract_config ~kills ~checkpoint_every
+          ~checkpoint_dir ~resume_dir
+  in
+  let exporter =
+    match (usage_error, listen) with
+    | Some m, _ ->
+        Fmt.epr "%s@." m;
+        Error 1
+    | None, None -> Ok None
+    | None, Some address -> (
+        match Obs.Exporter.start address with
+        | Ok ex ->
+            Fmt.epr "metrics: serving OpenMetrics on %s@."
+              (Obs.Exporter.endpoint ex);
+            Ok (Some ex)
+        | Error e ->
+            Fmt.epr "metrics: cannot listen: %s@." e;
+            Error 1)
+  in
+  match exporter with
+  | Error code -> code
+  | Ok exporter -> (
+      Fun.protect ~finally:(fun () -> Option.iter Obs.Exporter.stop exporter)
+      @@ fun () ->
+      match
+        match file with
+        | Some file ->
+            run_single file rounds tuples_per_round punct_lag policy force
+              sample_every replay save_trace report_file trace_file shards
+              faults contract_config kills max_restarts checkpoint_every
+              checkpoint_dir resume_dir exporter
+        | None ->
+            run_multi ~files:multi_files ~no_share ~rounds ~tuples_per_round
+              ~punct_lag ~policy ~force ~sample_every ~shards ~kills
+              ~max_restarts ~trace_file ~report_file ~exporter
+      with
+      | code -> code
+      | exception Engine.Contract.Violation_failure v ->
+          Fmt.epr "CONTRACT VIOLATION (fatal): %s at op %s input %s, tick %d@."
+            v.Engine.Contract.kind v.Engine.Contract.op
+            v.Engine.Contract.input v.Engine.Contract.tick;
+          4
+      | exception
+          Engine.Parallel_executor.Shard_failed { shard; attempts; reason } ->
+          Fmt.epr "SHARD FAILED: shard %d dead after %d restart(s): %s@." shard
+            attempts reason;
+          5
+      | exception Engine.Checkpoint.Invalid m ->
+          Fmt.epr "INVALID CHECKPOINT: %s@." m;
+          6)
 
 let file =
   Arg.(
@@ -670,18 +654,20 @@ let multi_queries =
           "Add a query to a multi-query run (repeatable). All queries share \
            one synthetic input; equivalent sub-joins execute as one shared \
            operator when the safety check admits the sharing (see \
-           TUTORIAL.md §18). Chaos, contract and replay flags apply only to \
-           single-query mode; $(b,--report), $(b,--trace) and \
-           $(b,--listen) require $(b,--shards) 1.")
+           TUTORIAL.md §18). $(b,--report), $(b,--trace), $(b,--listen), \
+           $(b,--shards), $(b,--kill-shard) and $(b,--max-restarts) apply \
+           as in single-query mode; the replay, save-trace, chaos, \
+           contract, checkpoint and resume flags are single-query only and \
+           refused here (exit 1).")
 
 let no_share =
   Arg.(
     value & flag
     & info [ "no-share" ]
         ~doc:
-          "Multi-query mode: compile every query independently (the \
-           baseline sharing is measured against). Per-query output hashes \
-           must not change.")
+          "Multi-query mode only (refused with a single QUERY): compile \
+           every query independently (the baseline sharing is measured \
+           against). Per-query output hashes must not change.")
 
 (* Numeric flags are range-checked when parsed, so an out-of-range value is
    a usage error (exit 124) instead of an exception deep inside the run. *)
@@ -812,7 +798,9 @@ let shards =
         ~doc:
           "Hash-partition the join across N worker domains (see \
            docs/SHARDING.md). With 1 (the default) the classic sequential \
-           executor runs; output hashes must agree between the two modes.")
+           executor runs; output hashes must agree between the two modes. \
+           In multi-query mode the shards run the shared DAG, with \
+           per-query hashes equal to the sequential run's.")
 
 (* --- fault-injection flags (docs/FAULTS.md) --------------------------- *)
 
@@ -993,19 +981,20 @@ let kills =
     & info [ "kill-shard" ] ~docv:"SHARD:SEQ"
         ~doc:
           "Deterministically kill worker domain SHARD when it reaches global \
-           element sequence SEQ (requires --shards > 1). Repeatable — a kill \
-           storm may hit several shards, or the same shard twice (budget \
-           permitting, see --max-restarts). The supervisor restarts each \
-           victim from checkpoint restore plus history replay; output must \
-           match the fault-free run.")
+           element sequence SEQ (requires --shards > 1 and SHARD below it; \
+           exit 1 otherwise), in either mode. Repeatable — a kill storm may \
+           hit several shards, or the same shard twice (budget permitting, \
+           see --max-restarts). The supervisor restarts each victim from \
+           checkpoint restore plus history replay; output must match the \
+           fault-free run.")
 
 let max_restarts =
   Arg.(
     value & opt non_negative 2
     & info [ "max-restarts" ] ~docv:"N"
         ~doc:
-          "Restart budget per shard; a shard crashing more than N times \
-           fails the run with exit 5.")
+          "Restart budget per shard under --shards > 1, in either mode; a \
+           shard crashing more than N times fails the run with exit 5.")
 
 (* --- checkpoint / resume flags (docs/FAULTS.md) ------------------------ *)
 
@@ -1070,7 +1059,10 @@ let listen =
 let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success (bounded run, no fatal violation).";
-    Cmd.Exit.info 1 ~doc:"on query parse or validation errors.";
+    Cmd.Exit.info 1
+      ~doc:
+        "on query parse or validation errors, or a flag the chosen mode does \
+         not run.";
     Cmd.Exit.info 2
       ~doc:"when refusing to run an unsafe query (re-run with --force).";
     Cmd.Exit.info 3

@@ -395,7 +395,6 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
   let parts = [ part c ] in
   let outputs = ref [] in
   let emitted = ref 0 in
-  let consumed = ref 0 in
   (* [emitted] counts the data tuples that actually reach the outputs —
      when a sink operator filters or aggregates, it is counted *after* the
      sink, not before (the pre-sink count over-reported under filtering
@@ -432,55 +431,37 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
              ~bytes_now:(fun () -> total_state_bytes c)
              ())
   in
-  (* One feeding loop: buffer up to [cap] elements, but always cut at the
-     sampling grid so every grid point lands on a run boundary. Without
-     [batch] the run is cut at every element and fed through [feed]; with
-     it, through the operators' push_batch fast path. The element clock
-     jumps to the run-end tick before the feed — within-run events share
-     it. *)
+  (* Without [batch] the grid cuts at every element and each run goes
+     through [feed]; with it, runs of up to [batch] elements go through
+     the operators' push_batch fast path. The element clock jumps to the
+     run-end tick before the feed — within-run events share it. *)
   let cap, push =
     match batch with
     | None -> (1, fun arr -> feed c.root arr.(0))
     | Some b -> (max 1 b, feed_batch c)
   in
-  let buf = ref [] in
-  let nbuf = ref 0 in
-  let feed_buffered () =
-    if !nbuf > 0 then begin
-      let arr = Array.of_list (List.rev !buf) in
-      buf := [];
-      nbuf := 0;
-      let base = !consumed in
-      consumed := base + Array.length arr;
-      Telemetry.set_clock telemetry !consumed;
-      (match contract with
-      | Some ct ->
-          Array.iteri
-            (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
-            arr
-      | None -> ());
-      accept (push arr);
-      if !consumed mod sample_every = 0 then begin
-        contract_checks ~tick:!consumed;
-        Grid.sample grid ~tick:!consumed ~emitted:!emitted parts;
-        Grid.publish grid ~tick:!consumed
-      end
-    end
+  let consumed =
+    Grid.feed ~sample_every ~cap elements
+      ~run:(fun ~base arr ->
+        Telemetry.set_clock telemetry (base + Array.length arr);
+        (match contract with
+        | Some ct ->
+            Array.iteri
+              (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
+              arr
+        | None -> ());
+        accept (push arr))
+      ~point:(fun ~tick ->
+        contract_checks ~tick;
+        Grid.sample grid ~tick ~emitted:!emitted parts;
+        Grid.publish grid ~tick)
   in
-  Seq.iter
-    (fun element ->
-      buf := element :: !buf;
-      incr nbuf;
-      if !nbuf >= cap || (!consumed + !nbuf) mod sample_every = 0 then
-        feed_buffered ())
-    elements;
-  feed_buffered ();
   accept (final_flush c.root);
-  Grid.finish grid ~tick:!consumed ~emitted:!emitted parts;
+  Grid.finish grid ~tick:consumed ~emitted:!emitted parts;
   {
     outputs = List.rev !outputs;
     metrics = Grid.metrics grid;
-    consumed = !consumed;
+    consumed;
     emitted = !emitted;
   }
 

@@ -154,6 +154,30 @@ let publish g ~tick =
       g.prev_snapshot <- Some snap;
       Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
 
+let feed ?(start = 0) ~sample_every ~cap ~run ~point elements =
+  let consumed = ref start in
+  let buf = ref [] in
+  let nbuf = ref 0 in
+  let cut () =
+    if !nbuf > 0 then begin
+      let arr = Array.of_list (List.rev !buf) in
+      buf := [];
+      nbuf := 0;
+      let base = !consumed in
+      consumed := base + Array.length arr;
+      run ~base arr;
+      if !consumed mod sample_every = 0 then point ~tick:!consumed
+    end
+  in
+  Seq.iter
+    (fun element ->
+      buf := element :: !buf;
+      incr nbuf;
+      if !nbuf >= cap || (!consumed + !nbuf) mod sample_every = 0 then cut ())
+    elements;
+  cut ();
+  !consumed
+
 let finish g ~tick ~emitted parts =
   record g ~final:true ~tick ~emitted parts;
   publish g ~tick;

@@ -70,6 +70,22 @@ val watch : t -> tick:int -> op:string -> size:int -> unit
     {!Obs.Openmetrics} snapshot of the registry. *)
 val publish : t -> tick:int -> unit
 
+(** [feed ?start ~sample_every ~cap ~run ~point elements] — the one
+    feeding loop every driver shares. It buffers up to [cap] elements but
+    always cuts at the grid, so every multiple of [sample_every] ends a
+    run: [run ~base arr] receives each run (its elements take ticks
+    [base + 1 .. base + length arr]) and [point ~tick] follows every run
+    that ends on a grid point. Ticks start after [start] (default 0, a
+    resumed run's cut). Returns the last tick. *)
+val feed :
+  ?start:int ->
+  sample_every:int ->
+  cap:int ->
+  run:(base:int -> Streams.Element.t array -> unit) ->
+  point:(tick:int -> unit) ->
+  Streams.Element.t Seq.t ->
+  int
+
 (** [finish g ~tick ~emitted parts] — the closing grid point after the
     final flush ({!Metrics.flush} replaces a same-tick sample), its
     snapshot, and [Run_end]. *)

@@ -25,7 +25,6 @@ type qunit = {
   qtree : Executor.compiled option;
       (** the residual (or independent) tree; [None] when the shared
           block covers the whole query *)
-  reads : string list;  (** raw streams fed directly into [qtree] *)
 }
 
 type t = {
@@ -40,28 +39,6 @@ type t = {
 let plan t = t.mplan
 let registry t = t.reg
 let stream_defs t = t.defs
-
-let union_defs queries =
-  let seen = Hashtbl.create 16 in
-  List.concat_map
-    (fun q ->
-      List.filter_map
-        (fun def ->
-          let name = Stream_def.name def in
-          match Hashtbl.find_opt seen name with
-          | Some schema ->
-              if not (Schema.equal schema (Stream_def.schema def)) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Multi_executor: stream %S declared with conflicting \
-                      schemas"
-                     name);
-              None
-          | None ->
-              Hashtbl.add seen name (Stream_def.schema def);
-              Some def)
-        (Cjq.stream_defs q))
-    queries
 
 let compile_group config (g : Planner.shared_group) reg =
   let q0 = Query_registry.find reg (fst (List.hd g.Planner.group_members)) in
@@ -126,7 +103,7 @@ let residual_query query (g : group) rest =
 let create ?(config = Executor.Config.default) ?(share = true) reg =
   let entries = Query_registry.entries reg in
   let defs =
-    union_defs (List.map (fun e -> e.Query_registry.query) entries)
+    Cjq.union_defs (List.map (fun e -> e.Query_registry.query) entries)
   in
   let mplan = Planner.plan_shared ~share reg in
   let groups = List.map (fun g -> compile_group config g reg) mplan.groups in
@@ -148,10 +125,9 @@ let create ?(config = Executor.Config.default) ?(share = true) reg =
               qid;
               gid = None;
               qtree = Some (Executor.compile ~config:qconfig query plan);
-              reads = Cjq.stream_names query;
             }
         | Planner.Shared { gid; rest = [] } ->
-            { qid; gid = Some gid; qtree = None; reads = [] }
+            { qid; gid = Some gid; qtree = None }
         | Planner.Shared { gid; rest } ->
             let g = group_of gid in
             let rq = residual_query query g rest in
@@ -160,15 +136,39 @@ let create ?(config = Executor.Config.default) ?(share = true) reg =
               qid;
               gid = Some gid;
               qtree = Some (Executor.compile ~config:qconfig rq rplan);
-              reads = rest;
             })
       mplan.assignments
   in
   { reg; mplan; groups; qunits; config; defs }
 
+let of_plan ?(config = Executor.Config.default) ~qid query plan =
+  {
+    reg = Query_registry.create [ { Query_registry.qid; query } ];
+    mplan =
+      {
+        Planner.groups = [];
+        assignments = [ (qid, Planner.Independent plan) ];
+      };
+    groups = [];
+    qunits =
+      [
+        { qid; gid = None; qtree = Some (Executor.compile ~config query plan) };
+      ];
+    config;
+    defs = Cjq.stream_defs query;
+  }
+
 (* --- feeding ----------------------------------------------------------- *)
 
-let unit_outputs t ~from_groups ~feed_direct ~flush_units =
+(* One step of the DAG: every shared group consumes [feed_group]'s share
+   of the input, then each query's tree takes its direct input followed
+   by its group's outputs ([push] feeds a tree one list of elements) and,
+   at end of input, flushes. A fully covered query answers with its
+   group's outputs as they are. *)
+let step t ~feed_group ~feed_direct ~push ~flush_units =
+  let from_groups =
+    List.map (fun (g : group) -> (g.gid, feed_group g)) t.groups
+  in
   List.filter_map
     (fun u ->
       let shared_in =
@@ -178,42 +178,42 @@ let unit_outputs t ~from_groups ~feed_direct ~flush_units =
         match u.qtree with
         | None -> shared_in
         | Some tree ->
-            let direct = feed_direct u tree in
+            let direct = feed_direct tree in
             let via_shared =
-              List.concat_map (Executor.feed_element tree) shared_in
+              if shared_in = [] then [] else push tree shared_in
             in
             let tail = if flush_units then Executor.flush_tree tree else [] in
-            direct @ via_shared @ tail
+            List.concat [ direct; via_shared; tail ]
       in
       if outs = [] then None else Some (u.qid, outs))
     t.qunits
 
 let feed_element t e =
-  let stream = Element.stream_name e in
-  let from_groups =
-    List.map
-      (fun (g : group) ->
-        ( g.gid,
-          if List.mem stream g.gstreams then Executor.feed_element g.gtree e
-          else [] ))
-      t.groups
-  in
-  unit_outputs t ~from_groups
-    ~feed_direct:(fun u tree ->
-      if List.mem stream u.reads then Executor.feed_element tree e else [])
+  step t
+    ~feed_group:(fun g -> Executor.feed_element g.gtree e)
+    ~feed_direct:(fun tree -> Executor.feed_element tree e)
+    ~push:(fun tree outs -> List.concat_map (Executor.feed_element tree) outs)
+    ~flush_units:false
+
+(* Each tree takes the whole run ([Executor.feed_batch] skips streams
+   outside its leaves) and a residual tree its group's outputs as one more
+   run: the order within every input stream is kept, which is all a
+   join's answer depends on. *)
+let feed_batch t arr =
+  step t
+    ~feed_group:(fun g -> Executor.feed_batch g.gtree arr)
+    ~feed_direct:(fun tree -> Executor.feed_batch tree arr)
+    ~push:(fun tree outs -> Executor.feed_batch tree (Array.of_list outs))
     ~flush_units:false
 
 let flush t =
   (* Shared trees drain first: their flush outputs (results and final
      punctuations) still have to travel through the subscribers' residual
      trees before those flush themselves. *)
-  let from_groups =
-    List.map
-      (fun (g : group) -> (g.gid, Executor.flush_tree g.gtree))
-      t.groups
-  in
-  unit_outputs t ~from_groups
-    ~feed_direct:(fun _ _ -> [])
+  step t
+    ~feed_group:(fun g -> Executor.flush_tree g.gtree)
+    ~feed_direct:(fun _ -> [])
+    ~push:(fun tree outs -> List.concat_map (Executor.feed_element tree) outs)
     ~flush_units:true
 
 (* --- state ------------------------------------------------------------- *)
@@ -251,61 +251,55 @@ type result = {
 
 let parts t = List.map (fun (_, tree) -> Executor.part tree) (all_trees t)
 
+let operators t =
+  List.concat_map (fun (_, c) -> Executor.operators ~c) (all_trees t)
+
+let register_sources ct t =
+  List.iter (fun (_, tree) -> Executor.register_sources ct tree) (all_trees t)
+
+let answer outputs =
+  {
+    outputs;
+    emitted = List.length (List.filter Element.is_data outputs);
+    hash = Executor.output_hash outputs;
+  }
+
 let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
   let telemetry = t.config.Executor.Config.telemetry in
   let grid = Grid.start ?exporter ~sample_every ~label telemetry in
   let parts = parts t in
-  let consumed = ref 0 in
   let emitted = ref 0 in
-  let acc : (string, Element.t list ref * int ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  List.iter
-    (fun u -> Hashtbl.replace acc u.qid (ref [], ref 0))
-    t.qunits;
+  let acc = Hashtbl.create 8 in
+  List.iter (fun u -> Hashtbl.replace acc u.qid (ref [])) t.qunits;
   let accept per_query =
     List.iter
       (fun (qid, outs) ->
-        let outputs, count = Hashtbl.find acc qid in
+        let outputs = Hashtbl.find acc qid in
         List.iter
           (fun e ->
-            if Element.is_data e then begin
-              incr count;
-              incr emitted
-            end;
+            if Element.is_data e then incr emitted;
             outputs := e :: !outputs)
           outs)
       per_query
   in
-  Seq.iter
-    (fun element ->
-      incr consumed;
-      Telemetry.set_clock telemetry !consumed;
-      accept (feed_element t element);
-      if !consumed mod sample_every = 0 then begin
-        Grid.sample grid ~tick:!consumed ~emitted:!emitted parts;
-        Grid.publish grid ~tick:!consumed
-      end)
-    elements;
-  accept (flush t);
-  Grid.finish grid ~tick:!consumed ~emitted:!emitted parts;
-  let per_query =
-    List.map
-      (fun u ->
-        let outputs, count = Hashtbl.find acc u.qid in
-        let outputs = List.rev !outputs in
-        ( u.qid,
-          {
-            outputs;
-            emitted = !count;
-            hash = Executor.output_hash outputs;
-          } ))
-      t.qunits
+  let consumed =
+    Grid.feed ~sample_every ~cap:1 elements
+      ~run:(fun ~base arr ->
+        Telemetry.set_clock telemetry (base + 1);
+        accept (feed_element t arr.(0)))
+      ~point:(fun ~tick ->
+        Grid.sample grid ~tick ~emitted:!emitted parts;
+        Grid.publish grid ~tick)
   in
+  accept (flush t);
+  Grid.finish grid ~tick:consumed ~emitted:!emitted parts;
   {
-    per_query;
+    per_query =
+      List.map
+        (fun u -> (u.qid, answer (List.rev !(Hashtbl.find acc u.qid))))
+        t.qunits;
     metrics = Grid.metrics grid;
-    consumed = !consumed;
+    consumed;
     emitted = !emitted;
   }
 
@@ -350,142 +344,3 @@ let report ?(meta = []) t (r : result) =
     ~registry:(Telemetry.registry telemetry)
     ~alarms:(Telemetry.alarms telemetry)
     (parts t) r.metrics
-
-(* --- sharded driving --------------------------------------------------- *)
-
-type sharded_result = {
-  s_per_query : (string * query_result) list;
-  s_consumed : int;
-  s_emitted : int;
-  s_shards : int;
-}
-
-type message = Batch of (int * Element.t) array | Stop of int
-
-type worker_state = {
-  exec : t;
-  queue : message Spsc.t;
-  (* (seq, rank, element) per query, newest first; read by the driver
-     only after Domain.join establishes happens-before *)
-  recorded : (string, (int * int * Element.t) list ref) Hashtbl.t;
-  mutable rank : int;
-}
-
-let worker (w : worker_state) =
-  let record seq per_query =
-    List.iter
-      (fun (qid, outs) ->
-        let cell = Hashtbl.find w.recorded qid in
-        List.iter
-          (fun e ->
-            cell := (seq, w.rank, e) :: !cell;
-            w.rank <- w.rank + 1)
-          outs)
-      per_query
-  in
-  let rec loop () =
-    match Spsc.pop_wait w.queue with
-    | `Closed -> ()
-    | `Item (Batch arr) ->
-        Array.iter (fun (seq, e) -> record seq (feed_element w.exec e)) arr;
-        loop ()
-    | `Item (Stop final) -> record (final + 1) (flush w.exec)
-  in
-  loop ()
-
-let run_sharded ?(config = Executor.Config.default) ?(share = true)
-    ?(batch_cap = 256) ~shards registry elements =
-  if shards <= 0 then
-    invalid_arg "Multi_executor.run_sharded: shards must be positive";
-  let entries = Query_registry.entries registry in
-  let queries = List.map (fun e -> e.Query_registry.query) entries in
-  let router = Shard_router.create_multi ~shards queries in
-  if not (Shard_router.sound_for_shared router ~subscribers:queries) then
-    invalid_arg
-      "Multi_executor.run_sharded: outer/anti queries require exact \
-       partitioning of their streams";
-  (* Worker DAGs run uninstrumented: per-shard telemetry merging is the
-     single-query Parallel_executor's concern; the multi driver's
-     observability story is the sequential run's. *)
-  let wconfig =
-    {
-      config with
-      Executor.Config.telemetry = Telemetry.null;
-      contract = None;
-    }
-  in
-  let mk_worker () =
-    let exec = create ~config:wconfig ~share registry in
-    let recorded = Hashtbl.create 8 in
-    List.iter
-      (fun e -> Hashtbl.replace recorded e.Query_registry.qid (ref []))
-      entries;
-    { exec; queue = Spsc.create ~capacity:64; recorded; rank = 0 }
-  in
-  let workers = Array.init shards (fun _ -> mk_worker ()) in
-  let domains =
-    Array.map (fun w -> Domain.spawn (fun () -> worker w)) workers
-  in
-  let push k msg =
-    match Spsc.push workers.(k).queue msg with
-    | `Ok -> ()
-    | `Closed -> failwith "Multi_executor.run_sharded: worker died"
-  in
-  let bufs = Array.make shards [] in
-  let buf_len = Array.make shards 0 in
-  let flush_buf k =
-    if buf_len.(k) > 0 then begin
-      push k (Batch (Array.of_list (List.rev bufs.(k))));
-      bufs.(k) <- [];
-      buf_len.(k) <- 0
-    end
-  in
-  let send k entry =
-    bufs.(k) <- entry :: bufs.(k);
-    buf_len.(k) <- buf_len.(k) + 1;
-    if buf_len.(k) >= max 1 batch_cap then flush_buf k
-  in
-  let consumed = ref 0 in
-  Seq.iter
-    (fun e ->
-      incr consumed;
-      match Shard_router.route_element router e with
-      | Shard_router.Local k -> send k (!consumed, e)
-      | Shard_router.Broadcast ->
-          for k = 0 to shards - 1 do
-            send k (!consumed, e)
-          done)
-    elements;
-  for k = 0 to shards - 1 do
-    flush_buf k;
-    push k (Stop !consumed)
-  done;
-  Array.iter Domain.join domains;
-  let s_per_query =
-    List.map
-      (fun entry ->
-        let qid = entry.Query_registry.qid in
-        let outputs =
-          Array.to_list workers
-          |> List.concat_map (fun w ->
-                 List.rev_map
-                   (fun (seq, rank, e) -> (seq, w.rank, rank, e))
-                   !(Hashtbl.find w.recorded qid))
-          |> List.sort compare
-          |> List.map (fun (_, _, _, e) -> e)
-        in
-        let emitted =
-          List.length (List.filter Element.is_data outputs)
-        in
-        (qid, { outputs; emitted; hash = Executor.output_hash outputs }))
-      entries
-  in
-  {
-    s_per_query;
-    s_consumed = !consumed;
-    s_emitted =
-      List.fold_left
-        (fun acc (_, (qr : query_result)) -> acc + qr.emitted)
-        0 s_per_query;
-    s_shards = shards;
-  }

@@ -25,8 +25,12 @@
     ({!Obs.Openmetrics}), so per-query rates break out while shared state
     is counted once, under its group's name.
 
-    Contracts are not threaded through multi-query execution yet: the
-    [contract] field of the supplied config is ignored. *)
+    A DAG is also the unit {!Parallel_executor} shards: each shard holds
+    one, whether {!create} compiled it from a registry or {!of_plan} from a
+    single plan ({!feed_batch} and {!flush} are what a shard runs).
+
+    Contracts are not threaded through multi-query execution yet: {!create}
+    ignores the [contract] field of the supplied config. *)
 
 type t
 
@@ -40,6 +44,12 @@ type t
     stream name with conflicting schemas. *)
 val create :
   ?config:Executor.Config.t -> ?share:bool -> Query.Query_registry.t -> t
+
+(** [of_plan ?config ~qid query plan] — the one-unit DAG: [query]
+    compiled under [plan] with [config] as given (operator names keep
+    their [op_prefix], the contract is kept), answering as query [qid]. *)
+val of_plan :
+  ?config:Executor.Config.t -> qid:string -> Query.Cjq.t -> Query.Plan.t -> t
 
 val plan : t -> Core.Planner.multi_plan
 val registry : t -> Query.Query_registry.t
@@ -55,6 +65,15 @@ val stream_defs : t -> Streams.Stream_def.t list
     output this tick are omitted). *)
 val feed_element : t -> Streams.Element.t -> (string * Streams.Element.t list) list
 
+(** [feed_batch t run] — the batched counterpart of {!feed_element}: each
+    tree takes the whole run through {!Executor.feed_batch} (which skips
+    streams outside its leaves), and a residual tree then takes its
+    group's outputs as one more run. The order within every input stream
+    is kept, so per-query data outputs equal feeding the run element by
+    element. For a one-unit DAG this is exactly {!Executor.feed_batch}. *)
+val feed_batch :
+  t -> Streams.Element.t array -> (string * Streams.Element.t list) list
+
 (** [flush t] — end-of-input: flush shared trees, fan their flush outputs
     to subscribers, then flush residual/independent trees. Call once. *)
 val flush : t -> (string * Streams.Element.t list) list
@@ -66,6 +85,10 @@ type query_result = {
   hash : string;  (** {!Executor.output_hash} of [outputs] *)
 }
 
+(** [answer outputs] — one query's outputs with their data-tuple count
+    and {!Executor.output_hash}. *)
+val answer : Streams.Element.t list -> query_result
+
 type result = {
   per_query : (string * query_result) list;  (** in registry order *)
   metrics : Metrics.t;  (** aggregate state series across the whole DAG *)
@@ -74,11 +97,12 @@ type result = {
 }
 
 (** [run ?sample_every ?label ?exporter t elements] — drive the DAG from
-    one interleaved sequence, mirroring {!Executor.run}: elements of
-    streams no query reads are ignored but still counted as ticks, every
-    [sample_every] ticks the run records the same {!Grid} point a
-    sequential run does (one part per tree), and [Run_start]/[Run_end]
-    frame the trace. Shared state is counted once in every total. *)
+    one interleaved sequence, element by element through {!Grid.feed},
+    mirroring {!Executor.run}: elements of streams no query reads are
+    ignored but still counted as ticks, every [sample_every] ticks the run
+    records the same {!Grid} point a sequential run does (one part per
+    tree), and [Run_start]/[Run_end] frame the trace. Shared state is
+    counted once in every total. *)
 val run :
   ?sample_every:int ->
   ?label:string ->
@@ -90,6 +114,17 @@ val run :
 (** [total_state_bytes t] — approximate join-state bytes across the DAG,
     shared state counted once. *)
 val total_state_bytes : t -> int
+
+(** [operators t] — every operator of the DAG, shared trees first, each
+    tree bottom-up: the order checkpoint blobs are written in. *)
+val operators : t -> Operator.t list
+
+(** [parts t] — one {!Grid.part} per tree. *)
+val parts : t -> Grid.part list
+
+(** [register_sources ct t] — {!Executor.register_sources} over every
+    tree. *)
+val register_sources : Contract.t -> t -> unit
 
 (** [state_breakdown t] — per-operator state grouped by owner: shared
     groups first (owner ["shared:G1"], …), then queries in registry order
@@ -103,31 +138,3 @@ val state_breakdown : t -> (string * Executor.breakdown list) list
     consumed/emitted/hash entries. *)
 val report :
   ?meta:(string * Obs.Json.t) list -> t -> result -> Obs.Report.t
-
-type sharded_result = {
-  s_per_query : (string * query_result) list;
-  s_consumed : int;
-  s_emitted : int;
-  s_shards : int;
-}
-
-(** [run_sharded ?config ?share ?batch_cap ~shards registry elements] —
-    the sharded multi-query driver: one {!create}d DAG per shard (each
-    with its own state and a null telemetry handle), one
-    {!Shard_router.create_multi} routing table over the union of all
-    queries, elements shipped in batches over {!Spsc} queues to worker
-    domains, per-query outputs merged deterministically by (sequence,
-    shard, emission rank). Per-query output hashes equal the sequential
-    {!run}'s on key-aligned workloads — and on arbitrary workloads when
-    the router is exact ({!Shard_router.exact_for} on each query's
-    streams).
-    @raise Invalid_argument when [shards <= 0] or
-    {!Shard_router.sound_for_shared} rejects the subscriber set. *)
-val run_sharded :
-  ?config:Executor.Config.t ->
-  ?share:bool ->
-  ?batch_cap:int ->
-  shards:int ->
-  Query.Query_registry.t ->
-  Streams.Element.t Seq.t ->
-  sharded_result

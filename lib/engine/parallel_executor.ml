@@ -25,13 +25,16 @@ type restart = {
 
 let queue_capacity = 64
 
+(* The id the one query of a {!create}d fleet answers under. *)
+let query_id = "query"
+
 type shard = {
   index : int;
-  (* One *incarnation* of a shard = (compiled, queue, tel, contract,
-     domain). A crash retires the incarnation wholesale: the replacement
-     gets fresh state everywhere and rebuilds itself by replaying
-     [history]. All incarnation fields are therefore mutable. *)
-  mutable compiled : Executor.compiled;
+  (* One *incarnation* of a shard = (dag, queue, tel, contract, domain). A
+     crash retires the incarnation wholesale: the replacement gets fresh
+     state everywhere and rebuilds itself by replaying [history]. All
+     incarnation fields are therefore mutable. *)
+  mutable dag : Multi_executor.t;
   mutable queue : message Spsc.t;
   mutable tel : Telemetry.t;
   mutable events_of : unit -> Obs.Event.t list;
@@ -41,8 +44,8 @@ type shard = {
      read by the driver only inside a barrier (worker parked on the
      monitor) or after [Domain.join] — both establish happens-before. *)
   mutable emitted : int;
-  mutable outputs : (int * int * Element.t) list;
-      (** (global seq, emission rank, element), newest first *)
+  mutable outputs : (int * int * string * Element.t) list;
+      (** (global seq, emission rank, query id, element), newest first *)
   mutable out_rank : int;
   (* Supervision. [history] is the replay log: every Batch sent to this
      shard since the last checkpoint cut (or run start), in send order
@@ -69,6 +72,7 @@ type shard = {
 
 type t = {
   router : Shard_router.t;
+  qids : string list;  (** the queries the fleet answers, registry order *)
   shards : shard array;
   (* Barrier monitor: workers announce arrival on [arrived] and park on
      [released] until [release] passes their barrier id. Blocking (not
@@ -97,7 +101,7 @@ type t = {
          the shedders, each under 1/n of the state budget *)
   mk_tel : unit -> Telemetry.t * (unit -> Obs.Event.t list);
   mk_contract : unit -> Contract.t option;
-  compile_shard : Telemetry.t -> Contract.t option -> Executor.compiled;
+  compile_shard : Telemetry.t -> Contract.t option -> Multi_executor.t;
   driver : Telemetry.t;
       (* the driver's own handle, enabled under [instrument]: it records
          the grid points, checkpoints and supervision events. Shard
@@ -126,7 +130,7 @@ let snapshot_shard (s : shard) : Checkpoint.shard =
                  "checkpoint: operator %s does not support snapshots (%s)"
                  op.Operator.name reason)
         | Operator.Snapshot { save; _ } -> (op.Operator.name, save ()))
-      (Executor.operators ~c:s.compiled)
+      (Multi_executor.operators s.dag)
   in
   { Checkpoint.ops; emitted = s.emitted; out_rank = s.out_rank }
 
@@ -134,7 +138,7 @@ let snapshot_shard (s : shard) : Checkpoint.shard =
    state from a checkpoint's blobs. The blobs were written by an
    identically compiled plan, so names must line up positionally. *)
 let apply_snapshot (s : shard) (snap : Checkpoint.shard) =
-  let ops = Executor.operators ~c:s.compiled in
+  let ops = Multi_executor.operators s.dag in
   if List.length ops <> List.length snap.Checkpoint.ops then
     raise
       (Checkpoint.Invalid
@@ -175,18 +179,22 @@ let snapshot_bytes (snap : Checkpoint.shard) =
     (fun acc (_, blob) -> acc + String.length blob)
     0 snap.Checkpoint.ops
 
-let create ?(config = Executor.Config.default) ?watchdog
-    ?(instrument = false) ?contract_config ?(kills = []) ?(max_restarts = 2)
-    ?checkpoint ?resume ~shards:n query plan =
-  if n <= 0 then
-    invalid_arg "Parallel_executor.create: shards must be positive";
-  if max_restarts < 0 then
-    invalid_arg "Parallel_executor.create: max_restarts must be >= 0";
-  let router = Shard_router.create ~shards:n query in
-  if not (Shard_router.sound_for router query) then
-    invalid_arg
-      "Parallel_executor.create: outer/anti join kinds require exact \
-       partitioning";
+let check_args ~who ~shards ~kills ~max_restarts =
+  if shards <= 0 then invalid_arg (who ^ ": shards must be positive");
+  if max_restarts < 0 then invalid_arg (who ^ ": max_restarts must be >= 0");
+  List.iter
+    (fun (k : Fault_injector.kill) ->
+      if k.shard >= shards then
+        invalid_arg
+          (Printf.sprintf "%s: kill aimed at shard %d, the fleet has %d" who
+             k.shard shards))
+    kills
+
+(* The fleet over [router]'s shards, each incarnation a DAG from
+   [compile_shard] under its own telemetry handle and contract. *)
+let fleet ~watchdog ~instrument ~contract_config ~kills ~max_restarts
+    ~checkpoint ~resume ~router ~qids compile_shard =
+  let n = Shard_router.shards router in
   let mk_tel () =
     if instrument then
       let sink, contents = Obs.Sink.memory () in
@@ -204,20 +212,13 @@ let create ?(config = Executor.Config.default) ?watchdog
           })
       contract_config
   in
-  (* Per-shard telemetry/contract override whatever the caller's config
-     carried: each incarnation owns its handles. *)
-  let compile_shard tel contract =
-    Executor.compile
-      ~config:{ config with Executor.Config.telemetry = tel; contract }
-      query plan
-  in
   let shards =
     Array.init n (fun index ->
         let tel, events_of = mk_tel () in
         let contract = mk_contract () in
         {
           index;
-          compiled = compile_shard tel contract;
+          dag = compile_shard tel contract;
           queue = Spsc.create ~capacity:queue_capacity;
           tel;
           events_of;
@@ -254,10 +255,11 @@ let create ?(config = Executor.Config.default) ?watchdog
   let driver_contract = Option.map Contract.create contract_config in
   let driver, driver_events = mk_tel () in
   Option.iter
-    (fun ct -> Executor.register_sources ct shards.(0).compiled)
+    (fun ct -> Multi_executor.register_sources ct shards.(0).dag)
     driver_contract;
   {
     router;
+    qids;
     shards;
     lock = Mutex.create ();
     arrived = Condition.create ();
@@ -279,6 +281,45 @@ let create ?(config = Executor.Config.default) ?watchdog
     merged = [];
     ran = false;
   }
+
+let create ?(config = Executor.Config.default) ?watchdog
+    ?(instrument = false) ?contract_config ?(kills = []) ?(max_restarts = 2)
+    ?checkpoint ?resume ~shards query plan =
+  check_args ~who:"Parallel_executor.create" ~shards ~kills ~max_restarts;
+  let router = Shard_router.create ~shards query in
+  if not (Shard_router.sound_for router query) then
+    invalid_arg
+      "Parallel_executor.create: outer/anti join kinds require exact \
+       partitioning";
+  (* Per-shard telemetry/contract override whatever the caller's config
+     carried: each incarnation owns its handles. *)
+  fleet ~watchdog ~instrument ~contract_config ~kills ~max_restarts
+    ~checkpoint ~resume ~router ~qids:[ query_id ] (fun telemetry contract ->
+      Multi_executor.of_plan ~qid:query_id
+        ~config:{ config with Executor.Config.telemetry; contract }
+        query plan)
+
+let create_multi ?(config = Executor.Config.default) ?(share = true)
+    ?watchdog ?(instrument = false) ?(kills = []) ?(max_restarts = 2) ~shards
+    registry =
+  check_args ~who:"Parallel_executor.create_multi" ~shards ~kills
+    ~max_restarts;
+  let queries =
+    List.map
+      (fun (e : Query.Query_registry.entry) -> e.query)
+      (Query.Query_registry.entries registry)
+  in
+  let router = Shard_router.create_multi ~shards queries in
+  if not (Shard_router.sound_for_shared router ~subscribers:queries) then
+    invalid_arg
+      "Parallel_executor.create_multi: outer/anti queries require exact \
+       partitioning of their streams";
+  fleet ~watchdog ~instrument ~contract_config:None ~kills ~max_restarts
+    ~checkpoint:None ~resume:None ~router
+    ~qids:(Query.Query_registry.qids registry) (fun telemetry _ ->
+      Multi_executor.create
+        ~config:{ config with Executor.Config.telemetry }
+        ~share registry)
 
 let router t = t.router
 let n_shards t = Array.length t.shards
@@ -314,13 +355,16 @@ let widen_minor_arena ~shards =
 
 let worker t shard =
   widen_minor_arena ~shards:(Array.length t.shards);
-  let record seq outs =
+  let record seq per_query =
     List.iter
-      (fun o ->
-        if Element.is_data o then shard.emitted <- shard.emitted + 1;
-        shard.outputs <- (seq, shard.out_rank, o) :: shard.outputs;
-        shard.out_rank <- shard.out_rank + 1)
-      outs
+      (fun (qid, outs) ->
+        List.iter
+          (fun o ->
+            if Element.is_data o then shard.emitted <- shard.emitted + 1;
+            shard.outputs <- (seq, shard.out_rank, qid, o) :: shard.outputs;
+            shard.out_rank <- shard.out_rank + 1)
+          outs)
+      per_query
   in
   let rec loop () =
     match Spsc.pop_wait shard.queue with
@@ -362,7 +406,7 @@ let worker t shard =
             let last_seq, _ = arr.(hi - 1) in
             Telemetry.set_clock shard.tel last_seq;
             let els = Array.init (hi - lo) (fun i -> snd arr.(lo + i)) in
-            record last_seq (Executor.feed_batch shard.compiled els)
+            record last_seq (Multi_executor.feed_batch shard.dag els)
           end
         in
         (match kill_at with
@@ -387,7 +431,7 @@ let worker t shard =
         (* Flush events are stamped at the final tick, like a sequential
            run's; flush *outputs* sort after every element's outputs. *)
         Telemetry.set_clock shard.tel final_tick;
-        record (final_tick + 1) (Executor.flush_tree shard.compiled)
+        record (final_tick + 1) (Multi_executor.flush shard.dag)
   in
   try loop ()
   with e ->
@@ -403,24 +447,27 @@ let worker t shard =
 
 type result = {
   outputs : Element.t list;
+  per_query : (string * Element.t list) list;
   metrics : Metrics.t;
   consumed : int;
   emitted : int;
 }
 
-let sum_over t f = Array.fold_left (fun acc s -> acc + f s.compiled) 0 t.shards
-let total_data_state t = sum_over t Executor.total_data_state
-let total_index_state t = sum_over t Executor.total_index_state
-
 let shard_breakdowns t =
-  Array.map (fun s -> Executor.state_breakdown s.compiled) t.shards
+  Array.map (fun s -> Grid.breakdown (Multi_executor.parts s.dag)) t.shards
 
-(* One grid part per shard: operators share their sequential names, so the
-   grid sums each over the fleet. *)
+(* One grid part per tree of every shard: the shards repeat the DAG's
+   operator names, so the grid sums each over the fleet. *)
 let parts t =
-  Array.to_list (Array.map (fun s -> Executor.part s.compiled) t.shards)
+  List.concat_map (fun s -> Multi_executor.parts s.dag) (Array.to_list t.shards)
 
 let state_breakdown t = Grid.breakdown (parts t)
+
+let sum_state t f =
+  List.fold_left (fun acc b -> acc + f b) 0 (state_breakdown t)
+
+let total_data_state t = sum_state t (fun b -> b.Grid.data)
+let total_index_state t = sum_state t (fun b -> b.Grid.index)
 
 let alarms t =
   match t.watchdog with Some w -> Obs.Watchdog.alarms w | None -> []
@@ -480,7 +527,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   (* newest chunk first; each chunk ascending *)
   let commit_chunk chunk =
     match on_commit with
-    | Some f -> f (List.map (fun (_, _, _, el) -> el) chunk)
+    | Some f -> f (List.map (fun (_, _, _, _, el) -> el) chunk)
     | None -> committed := chunk :: !committed
   in
   let elements =
@@ -488,12 +535,16 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     | None -> elements
     | Some (c : Checkpoint.t) ->
         (* continue the cut: counters pick up where the checkpoint left
-           off, committed outputs are owned again, and the input prefix
-           the checkpoint already consumed is skipped (the caller passes
-           the same deterministic trace). *)
+           off, committed outputs are owned again (only a single-plan
+           fleet checkpoints, so they are its one query's), and the input
+           prefix the checkpoint already consumed is skipped (the caller
+           passes the same deterministic trace). *)
         consumed := c.Checkpoint.consumed;
         last_ckpt := Some c;
-        commit_chunk c.Checkpoint.committed;
+        commit_chunk
+          (List.map
+             (fun (seq, h, rank, el) -> (seq, h, rank, query_id, el))
+             c.Checkpoint.committed);
         Seq.drop c.Checkpoint.consumed elements
   in
   (* --- supervision --------------------------------------------------- *)
@@ -557,7 +608,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     s.tel <- tel;
     s.events_of <- events_of;
     s.contract <- contract;
-    s.compiled <- t.compile_shard tel contract;
+    s.dag <- t.compile_shard tel contract;
     s.queue <- Spsc.create ~capacity:queue_capacity;
     (* The dead incarnation's post-cut outputs, counters and events are
        discarded wholesale: determinism means the replay reproduces every
@@ -630,6 +681,21 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     match Spsc.push s.queue msg with
     | `Ok -> ()
     | `Closed -> handle_crash k
+  in
+  (* Every shard's outputs since the last drain, in merge order: sequence,
+     then shard, then per-shard emission rank. *)
+  let drain_outputs () =
+    let chunk =
+      Array.to_list t.shards
+      |> List.concat_map (fun s ->
+             List.rev_map
+               (fun (seq, rank, qid, el) -> (seq, s.index, rank, qid, el))
+               s.outputs)
+      |> List.sort (fun (s1, h1, r1, _, _) (s2, h2, r2, _, _) ->
+             compare (s1, h1, r1) (s2, h2, r2))
+    in
+    Array.iter (fun (s : shard) -> s.outputs <- []) t.shards;
+    chunk
   in
   (* --- batching ------------------------------------------------------- *)
   let batch_cap = 256 in
@@ -711,16 +777,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     | Some cfg ->
         let t0 = Unix.gettimeofday () in
         let shards_snap = Array.map snapshot_shard t.shards in
-        let chunk =
-          Array.to_list t.shards
-          |> List.concat_map (fun s ->
-                 List.rev_map
-                   (fun (seq, rank, el) -> (seq, s.index, rank, el))
-                   s.outputs)
-          |> List.sort (fun (s1, h1, r1, _) (s2, h2, r2, _) ->
-                 compare (s1, h1, r1) (s2, h2, r2))
-        in
-        Array.iter (fun (s : shard) -> s.outputs <- []) t.shards;
+        let chunk = drain_outputs () in
         commit_chunk chunk;
         Array.iteri
           (fun k s ->
@@ -742,7 +799,10 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
           | Some dir ->
               (* the durable image needs every committed output so a
                  resumed process reproduces the full output multiset *)
-              let full = mk (List.concat (List.rev !committed)) in
+              let untag (seq, h, rank, _, el) = (seq, h, rank, el) in
+              let full =
+                mk (List.concat_map (List.map untag) (List.rev !committed))
+              in
               let _path, bytes =
                 Checkpoint.save ~dir
                   ~fingerprint:cfg.Checkpoint.fingerprint full
@@ -817,46 +877,44 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
         | Some ct ->
             ignore
               (Contract.enforce_budget ct ~telemetry:s.tel ~tick
-                 ~bytes_now:(fun () -> Executor.total_state_bytes s.compiled)
+                 ~bytes_now:(fun () -> Multi_executor.total_state_bytes s.dag)
                  ())
         | None -> ())
       t.shards
   in
   let body () =
-    Seq.iter
-      (fun el ->
-        incr consumed;
-        let seq = !consumed in
-        (match t.driver_contract with
-        | Some ct -> Contract.note_element ct ~tick:seq el
-        | None -> ());
-        (match Shard_router.route_element t.router el with
-        | Shard_router.Local k -> send k (seq, el)
-        | Shard_router.Broadcast ->
-            for k = 0 to n - 1 do
-              send k (seq, el)
-            done);
-        if !consumed mod sample_every = 0 then begin
+    consumed :=
+      Grid.feed ~start:!consumed ~sample_every ~cap:1 elements
+        ~run:(fun ~base arr ->
+          let seq = base + 1 and el = arr.(0) in
+          (* [handle_crash] stamps its events with [consumed] *)
+          consumed := seq;
+          (match t.driver_contract with
+          | Some ct -> Contract.note_element ct ~tick:seq el
+          | None -> ());
+          match Shard_router.route_element t.router el with
+          | Shard_router.Local k -> send k (seq, el)
+          | Shard_router.Broadcast ->
+              for k = 0 to n - 1 do
+                send k (seq, el)
+              done)
+        ~point:(fun ~tick ->
           (* Workers are parked from [quiesce] to [release], so reading
              and shedding shard state here is safe. *)
           quiesce ();
-          contract_checks ~tick:!consumed;
-          Grid.sample grid ~tick:!consumed ~emitted:(emitted_total ())
-            (parts t);
+          contract_checks ~tick;
+          Grid.sample grid ~tick ~emitted:(emitted_total ()) (parts t);
           incr grid_points;
           (match t.checkpoint with
           | Some cfg ->
               if !grid_points mod cfg.Checkpoint.every = 0 then
-                take_checkpoint ~tick:!consumed;
-              watch_history
-                ~interval:(cfg.Checkpoint.every * sample_every)
-                ~tick:!consumed
+                take_checkpoint ~tick;
+              watch_history ~interval:(cfg.Checkpoint.every * sample_every)
+                ~tick
           | None -> ());
           observe_history ();
-          Grid.publish grid ~tick:!consumed;
-          release ()
-        end)
-      elements;
+          Grid.publish grid ~tick;
+          release ());
     for k = 0 to n - 1 do
       flush_buf k;
       send_ctl k (Stop !consumed)
@@ -893,17 +951,17 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   (* Committed chunks (one per checkpoint, ascending within and across
      chunks — every pre-cut batch was drained at its cut) precede the
      still-live tail, which holds only post-cut sequence numbers. *)
-  let live_outputs =
-    Array.to_list t.shards
-    |> List.concat_map (fun s ->
-           List.rev_map (fun (seq, rank, el) -> (seq, s.index, rank, el))
-             s.outputs)
-    |> List.sort (fun (s1, h1, r1, _) (s2, h2, r2, _) ->
-           compare (s1, h1, r1) (s2, h2, r2))
-  in
-  let outputs =
-    List.concat (List.rev (live_outputs :: !committed))
-    |> List.map (fun (_, _, _, el) -> el)
+  let merged = List.concat (List.rev (drain_outputs () :: !committed)) in
+  let outputs = List.map (fun (_, _, _, _, el) -> el) merged in
+  let per_query =
+    List.map
+      (fun qid ->
+        ( qid,
+          List.filter_map
+            (fun (_, _, _, q, el) ->
+              if String.equal q qid then Some el else None)
+            merged ))
+      t.qids
   in
   if Telemetry.enabled t.driver then begin
     (* Merged trace order: tick, then shard, then per-shard emission
@@ -932,6 +990,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   Array.iter (fun s -> Telemetry.close s.tel) t.shards;
   {
     outputs;
+    per_query;
     metrics = Grid.metrics grid;
     consumed = !consumed;
     emitted = emitted_total ();

@@ -1,13 +1,17 @@
-(** Sharded query execution across OCaml 5 domains.
+(** Sharded query execution across OCaml 5 domains — the one fleet for
+    a single query and for a multi-query registry.
 
-    [create ~shards] compiles [shards] independent copies of the plan —
-    each with its own join states, punctuation stores and (optionally) its
-    own telemetry handle — and [run] drives them from one input sequence:
-    the driver routes every element through a {!Shard_router} (data to its
-    hash owner, punctuations to their owner or broadcast), ships it over a
-    bounded {!Spsc} queue as part of a batch, and merges the shards'
-    outputs, metrics samples and telemetry events back into one
-    deterministic result.
+    Each shard holds a {!Multi_executor} DAG: [create ~shards] compiles
+    [shards] one-unit DAGs of a single plan ({!Multi_executor.of_plan},
+    operator names unprefixed), {!create_multi} [shards] copies of the
+    shared DAG of a registry. Each copy has its own join states,
+    punctuation stores and (optionally) its own telemetry handle, and
+    [run] drives them from one input sequence: the driver routes every
+    element through a {!Shard_router} (data to its hash owner,
+    punctuations to their owner or broadcast), ships it over a bounded
+    {!Spsc} queue as part of a batch ({!Multi_executor.feed_batch}), and
+    merges the shards' outputs (tagged with their query id), metrics
+    samples and telemetry events back into one deterministic result.
 
     {2 Correctness spine}
 
@@ -115,9 +119,37 @@ val create :
     [run] must then be given the {e same} input sequence — it skips the
     already-consumed prefix itself.
 
-    @raise Invalid_argument when [resume] was taken at a different shard
-    count, or when an operator in the plan does not support snapshots
-    ([Volatile]) while [checkpoint] is armed (raised at the first cut). *)
+    @raise Invalid_argument when [shards <= 0], [max_restarts < 0], a
+    kill's shard is not below [shards], or an operator in the plan does not
+    support snapshots ([Volatile]) while [checkpoint] is armed (raised at
+    the first cut).
+    @raise Checkpoint.Invalid when [resume] was taken at a different shard
+    count. *)
+
+val create_multi :
+  ?config:Executor.Config.t ->
+  ?share:bool ->
+  ?watchdog:Obs.Watchdog.t ->
+  ?instrument:bool ->
+  ?kills:Streams.Fault_injector.kill list ->
+  ?max_restarts:int ->
+  shards:int ->
+  Query.Query_registry.t ->
+  t
+(** [create_multi ~shards registry] — the fleet over the registry's
+    shared DAG ({!Multi_executor.create} with [config] and [share]), routed
+    by one {!Shard_router.create_multi} table over the union of the
+    queries. [watchdog], [instrument], [kills] and [max_restarts] mean what
+    they mean for {!create}. Per-query output hashes equal the sequential
+    {!Multi_executor.run}'s on key-aligned workloads, and on arbitrary
+    workloads when the router is exact for each query's streams.
+
+    A multi-query fleet takes no checkpoint, resume or contract: a
+    checkpoint's committed outputs carry no query id, and multi-query
+    execution threads no contract.
+
+    @raise Invalid_argument under the conditions of {!create}, or when
+    {!Shard_router.sound_for_shared} rejects the subscriber set. *)
 
 val crash_count : t -> int
 (** Total worker restarts performed so far (summed over shards). *)
@@ -151,7 +183,11 @@ val n_shards : t -> int
 
 type result = {
   outputs : Streams.Element.t list;
-      (** merged root outputs in deterministic (sequence, shard) order *)
+      (** merged root outputs of every query in deterministic (sequence,
+          shard) order *)
+  per_query : (string * Streams.Element.t list) list;
+      (** the same outputs split by query id, in registry order; a
+          {!create}d fleet's one query answers under ["query"] *)
   metrics : Metrics.t;  (** driver-sampled global state series *)
   consumed : int;
   emitted : int;  (** data tuples across all shards *)
@@ -159,11 +195,12 @@ type result = {
 
 (** [run ?sample_every ?label ?exporter ?on_commit t elements] — one shot
     per [t]: drives the worker domains to completion and joins them. Ticks
-    count every input element (as {!Executor.run} does), and sampling
-    happens at global barriers on the [sample_every] grid: the driver
-    quiesces all shards, runs the contract checks, records the same
-    {!Grid} point a sequential run does (one part per shard, so each
-    operator's state is summed over the fleet), then releases them.
+    count every input element (as {!Executor.run} does; the driver feeds
+    through {!Grid.feed}), and sampling happens at global barriers on the
+    [sample_every] grid: the driver quiesces all shards, runs the contract
+    checks, records the same {!Grid} point a sequential run does (one part
+    per tree of every shard, so each operator's state is summed over the
+    fleet), then releases them.
 
     Under [instrument] the driver's own telemetry handle receives the
     grid's events, state gauges and driver-domain GC counters.

@@ -145,36 +145,12 @@ let create_defs ~shards defs preds =
 let create ~shards query =
   create_defs ~shards (Cjq.stream_defs query) (Cjq.predicates query)
 
-(* Union of the registered queries' streams and atoms. Stream defs are
-   deduped by name; a name declared with two different schemas is a
-   registry-level conflict the driver must reject before routing. *)
-let union_defs queries =
-  let seen = Hashtbl.create 16 in
-  List.concat_map
-    (fun q ->
-      List.filter_map
-        (fun def ->
-          let name = Streams.Stream_def.name def in
-          match Hashtbl.find_opt seen name with
-          | Some schema ->
-              if
-                not
-                  (Schema.equal schema (Streams.Stream_def.schema def))
-              then
-                invalid_arg
-                  (Printf.sprintf
-                     "Shard_router: stream %S declared with conflicting                       schemas"
-                     name);
-              None
-          | None ->
-              Hashtbl.add seen name (Streams.Stream_def.schema def);
-              Some def)
-        (Cjq.stream_defs q))
-    queries
-
+(* Union of the registered queries' streams and atoms; a stream name
+   declared with two different schemas is a registry-level conflict the
+   driver must reject before routing. *)
 let create_multi ~shards queries =
   if queries = [] then invalid_arg "Shard_router.create_multi: no queries";
-  let defs = union_defs queries in
+  let defs = Cjq.union_defs queries in
   let preds =
     List.sort_uniq Predicate.atom_compare
       (List.concat_map Cjq.predicates queries)

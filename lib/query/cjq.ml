@@ -70,6 +70,28 @@ let make ?(kind = Inner) defs preds =
 
 let kind t = t.kind
 let stream_defs t = t.defs
+
+let union_defs queries =
+  let seen = Hashtbl.create 16 in
+  List.concat_map
+    (fun q ->
+      List.filter
+        (fun def ->
+          let name = Stream_def.name def in
+          match Hashtbl.find_opt seen name with
+          | None ->
+              Hashtbl.add seen name (Stream_def.schema def);
+              true
+          | Some schema when Schema.equal schema (Stream_def.schema def) ->
+              false
+          | Some _ ->
+              invalid_arg
+                (Printf.sprintf
+                   "Cjq.union_defs: stream %S declared with conflicting schemas"
+                   name))
+        (stream_defs q))
+    queries
+
 let stream_names t = List.map Stream_def.name t.defs
 let n_streams t = List.length t.defs
 let predicates t = t.preds

@@ -33,6 +33,14 @@ val make :
 val kind : t -> join_kind
 
 val stream_defs : t -> Streams.Stream_def.t list
+
+(** [union_defs queries] — the stream definitions of all [queries],
+    deduped by name in first-seen order: the input surface of a
+    multi-query run.
+    @raise Invalid_argument when two queries declare one stream name with
+    different schemas. *)
+val union_defs : t list -> Streams.Stream_def.t list
+
 val stream_names : t -> string list
 val n_streams : t -> int
 val predicates : t -> Relational.Predicate.t

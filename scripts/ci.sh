@@ -70,6 +70,46 @@ done
 expect_usage_error --query examples/star_rst.query \
   --query examples/star_rsu.query --rounds 20 --sample=0
 
+echo "== usage errors: flags the chosen mode does not run =="
+# A flag the mode would ignore is refused with exit 1 and a message naming
+# it: the single-query-only flags in multi-query mode (with and without
+# --shards), --no-share in single-query mode, --kill-shard without a
+# fleet, and a kill aimed at a shard the fleet does not have.
+expect_refusal() {
+  # expect_refusal TEXT ARGS... -- exit 1 with TEXT in the message
+  _want="$1"; shift
+  set +e
+  ./_build/default/bin/pstream_run.exe "$@" > /dev/null 2> "$OBS_TMP/refusal.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] || ! grep -q -- "$_want" "$OBS_TMP/refusal.txt"; then
+    echo "pstream-run $*: exit $status, expected exit 1 naming $_want:" >&2
+    cat "$OBS_TMP/refusal.txt" >&2
+    exit 1
+  fi
+}
+MQ_SMALL="--query examples/star_rst.query --query examples/star_rsu.query --rounds 20"
+for shards in 1 2; do
+  for flags in "--checkpoint-every 2 --checkpoint-dir $OBS_TMP/mq_ckpt" \
+    "--save-trace $OBS_TMP/mq_saved.trace" "--replay examples/triangle.query" \
+    "--on-violation fail" "--grace 5" "--state-budget 4096" \
+    "--late-data 0.5" "--drop-punct 0.1" "--dup-punct 0.1" \
+    "--delay-punct 0.1" "--stall R:5:10" "--resume $OBS_TMP/mq_ckpt"; do
+    expect_refusal "${flags%% *}" $MQ_SMALL --shards "$shards" $flags
+  done
+done
+if [ -e "$OBS_TMP/mq_ckpt" ] || [ -e "$OBS_TMP/mq_saved.trace" ]; then
+  echo "a refused multi-query run still wrote a checkpoint or a trace" >&2
+  exit 1
+fi
+expect_refusal --no-share examples/triangle.query --rounds 20 --no-share
+expect_refusal --kill-shard examples/triangle.query --rounds 20 \
+  --kill-shard 0:10
+expect_refusal --kill-shard $MQ_SMALL --kill-shard 0:10
+expect_refusal "shard 5 does not exist" examples/triangle.query --rounds 20 \
+  --shards 2 --kill-shard 5:10
+expect_refusal "shard 2 does not exist" $MQ_SMALL --shards 2 --kill-shard 2:10
+
 echo "== auction smoke: bids die on arrival =="
 # Example 1's auction: each item's punctuation arrives before its bids, so
 # the eager join drops every bid once it has probed. The peak stored state
@@ -202,6 +242,30 @@ wait "$LIVE_PID" || {
   echo "the exporting multi-query run did not exit 0" >&2
   exit 1
 }
+
+# The sharded multi-query run is the same fleet: its exposition must pass
+# the same checks and announce the sequential multi-query family set.
+MQ_SH_SOCK="$OBS_TMP/metrics_mq_sh.sock"
+./_build/default/bin/pstream_run.exe --query examples/star_rst.query \
+  --query examples/star_rsu.query --rounds 12000 --sample 100 --shards 2 \
+  --listen "unix:$MQ_SH_SOCK" > "$OBS_TMP/live_mq_sh_out.txt" 2>&1 &
+LIVE_PID=$!
+if ! live_scrape "$MQ_SH_SOCK" "$OBS_TMP/scrape_mq_sh.txt"; then
+  echo "never got a valid mid-run scrape from the sharded multi-query exporter" >&2
+  kill "$LIVE_PID" 2>/dev/null || true
+  exit 1
+fi
+wait "$LIVE_PID" || {
+  echo "the exporting sharded multi-query run did not exit 0" >&2
+  exit 1
+}
+grep '^# TYPE' "$OBS_TMP/scrape_mq.txt" | sort > "$OBS_TMP/fam_mq.txt"
+grep '^# TYPE' "$OBS_TMP/scrape_mq_sh.txt" | sort > "$OBS_TMP/fam_mq_sh.txt"
+if ! cmp -s "$OBS_TMP/fam_mq.txt" "$OBS_TMP/fam_mq_sh.txt"; then
+  echo "sequential and sharded multi-query expositions announce different metric families:" >&2
+  diff "$OBS_TMP/fam_mq.txt" "$OBS_TMP/fam_mq_sh.txt" >&2 || true
+  exit 1
+fi
 
 # Forced unsafe run: still consistent, and the watchdog must raise an
 # alarm naming a purge-unreachable input (pstream-run exits 3 on alarm).
@@ -482,19 +546,34 @@ for mode in mq_noshare mq_shards; do
   fi
 done
 
-# The sharded multi-query driver runs uninstrumented: it must refuse the
-# telemetry flags (exit 1) rather than silently write nothing.
-for flag in "--report $OBS_TMP/mq_sh_report.json" \
-  "--trace $OBS_TMP/mq_sh_trace.jsonl" "--listen unix:$OBS_TMP/mq_sh.sock"; do
-  set +e
-  dune exec bin/pstream_run.exe -- $MQ_ARGS --shards 4 $flag > /dev/null 2>&1
-  status=$?
-  set -e
-  if [ "$status" -ne 1 ]; then
-    echo "expected exit 1 from --shards 4 $flag in multi-query mode, got $status" >&2
-    exit 1
-  fi
-done
+# A sharded multi-query run is instrumented like a single-query one: its
+# report must verify against its merged trace, with the sequential hashes.
+dune exec bin/pstream_run.exe -- $MQ_ARGS --shards 2 \
+  --report "$OBS_TMP/mq_sh_report.json" --trace "$OBS_TMP/mq_sh_trace.jsonl" \
+  > "$OBS_TMP/mq_sh2.txt"
+mq_hashes "$OBS_TMP/mq_sh2.txt" > "$OBS_TMP/mq_h_mq_sh2.txt"
+if ! cmp -s "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_mq_sh2.txt"; then
+  echo "multi-query hash mismatch (shared vs instrumented --shards 2):" >&2
+  diff "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_mq_sh2.txt" >&2 || true
+  exit 1
+fi
+dune exec bin/pstream_obs.exe -- verify \
+  "$OBS_TMP/mq_sh_report.json" "$OBS_TMP/mq_sh_trace.jsonl" --expect-quiet
+
+# Shard supervision covers multi-query fleets: a killed shard is restarted
+# and every query still answers the fault-free hash.
+dune exec bin/pstream_run.exe -- $MQ_ARGS --shards 3 --kill-shard 1:200 \
+  > "$OBS_TMP/mq_kill.txt"
+mq_hashes "$OBS_TMP/mq_kill.txt" > "$OBS_TMP/mq_h_mq_kill.txt"
+if ! cmp -s "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_mq_kill.txt"; then
+  echo "multi-query hash mismatch (shared vs --shards 3 with a kill):" >&2
+  diff "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_mq_kill.txt" >&2 || true
+  exit 1
+fi
+grep -q '^shard restarts: 1' "$OBS_TMP/mq_kill.txt" || {
+  echo "expected one shard restart in the multi-query kill run" >&2
+  exit 1
+}
 
 echo "== multi-query benchmark (B4 -> BENCH_multi_query.json) =="
 # B4 asserts hash equality and a strict shared-state win internally; the

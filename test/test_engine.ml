@@ -301,6 +301,43 @@ let test_metrics_flush_contract () =
   | Some s -> check_int "post-flush value wins" 0 s.Metrics.data_state
   | None -> Alcotest.fail "expected a final sample")
 
+(* The one feeding loop every driver shares: runs never exceed the cap,
+   every grid multiple ends one, and a resumed start offsets the ticks. *)
+let test_grid_feed_cuts_at_the_grid () =
+  let elements n =
+    List.init n (fun i ->
+        Element.Data (tuple (int_schema "R" [ "K"; "A" ]) [ i; i ]))
+  in
+  List.iter
+    (fun (cap, start) ->
+      let runs = ref [] and points = ref [] in
+      let last =
+        Engine.Grid.feed ~start ~sample_every:10 ~cap
+          ~run:(fun ~base arr -> runs := (base, Array.length arr) :: !runs)
+          ~point:(fun ~tick -> points := tick :: !points)
+          (List.to_seq (elements 95))
+      in
+      let runs = List.rev !runs and points = List.rev !points in
+      let name what = Printf.sprintf "cap %d, start %d: %s" cap start what in
+      check_int (name "last tick") (start + 95) last;
+      check_bool (name "runs tile the ticks") true
+        (fst
+           (List.fold_left
+              (fun (ok, next) (base, len) -> (ok && base = next, base + len))
+              (true, start) runs));
+      check_bool (name "no run longer than cap") true
+        (List.for_all (fun (_, len) -> len >= 1 && len <= cap) runs);
+      let multiples =
+        List.init 95 (fun i -> start + i + 1)
+        |> List.filter (fun t -> t mod 10 = 0)
+      in
+      check_bool (name "every multiple of 10 ends a run") true
+        (List.for_all
+           (fun m -> List.exists (fun (base, len) -> base + len = m) runs)
+           multiples);
+      check_bool (name "one point per multiple") true (points = multiples))
+    [ (1, 0); (7, 0); (64, 0); (7, 23); (64, 30) ]
+
 (* ------------------------------------------------------------------ *)
 (* Binary join: a two-input Mjoin *)
 
@@ -1122,6 +1159,8 @@ let () =
           Alcotest.test_case "metrics slope" `Quick test_metrics_series_and_slope;
           Alcotest.test_case "metrics flush contract" `Quick
             test_metrics_flush_contract;
+          Alcotest.test_case "grid feed cuts at the grid" `Quick
+            test_grid_feed_cuts_at_the_grid;
         ] );
       ( "binary join",
         [

@@ -14,6 +14,8 @@ module Checker = Core.Checker
 module Planner = Core.Planner
 module Executor = Engine.Executor
 module Multi_executor = Engine.Multi_executor
+module Parallel_executor = Engine.Parallel_executor
+module Fault_injector = Streams.Fault_injector
 module Shard_router = Engine.Shard_router
 module Purge_policy = Engine.Purge_policy
 module Telemetry = Engine.Telemetry
@@ -226,18 +228,10 @@ let trace_config =
   { Synth.rounds = 10; tuples_per_round = 3; punct_lag = 2; trace_seed = 11 }
 
 let union_defs reg =
-  let seen = Hashtbl.create 8 in
-  List.concat_map
-    (fun (e : Query_registry.entry) ->
-      List.filter (fun d ->
-          let n = Stream_def.name d in
-          if Hashtbl.mem seen n then false
-          else begin
-            Hashtbl.add seen n ();
-            true
-          end)
-        (Cjq.stream_defs e.Query_registry.query))
-    (Query_registry.entries reg)
+  Cjq.union_defs
+    (List.map
+       (fun (e : Query_registry.entry) -> e.Query_registry.query)
+       (Query_registry.entries reg))
 
 (* The per-query reference: compile the query alone and feed it only its
    own streams. *)
@@ -276,18 +270,18 @@ let check_equivalence ~label reg trace =
         (Query_registry.entries reg);
       List.iter
         (fun shards ->
-          let s =
-            Multi_executor.run_sharded ~config ~shards reg (List.to_seq trace)
-          in
+          let p = Parallel_executor.create_multi ~config ~shards reg in
+          let r = Parallel_executor.run p (List.to_seq trace) in
           List.iter
-            (fun (qid, (qr : Multi_executor.query_result)) ->
+            (fun (qid, outputs) ->
+              let a = Multi_executor.answer outputs in
               check_bool
                 (Printf.sprintf "%s/%s sharded %d = sequential" label qid
                    shards)
                 true
                 (List.assoc qid shared
-                = (qr.Multi_executor.hash, qr.Multi_executor.emitted)))
-            s.Multi_executor.s_per_query)
+                = (a.Multi_executor.hash, a.Multi_executor.emitted)))
+            r.Parallel_executor.per_query)
         [ 1; 2; 4 ])
     [ Purge_policy.Eager; Purge_policy.Lazy 25 ]
 
@@ -434,15 +428,82 @@ let test_shared_run_trace_verifies () =
     (fun owner -> check_bool ("query label " ^ owner) true (has_query owner))
     [ "shared:G1"; "q1"; "q2" ]
 
+(* The sharded twin: an instrumented multi-query fleet's merged trace
+   replays to its own report's counters. *)
+let test_sharded_run_trace_verifies () =
+  let reg = star_registry () in
+  let trace = Synth.round_trace_defs (union_defs reg) trace_config in
+  let p = Parallel_executor.create_multi ~instrument:true ~shards:2 reg in
+  let r = Parallel_executor.run ~sample_every:25 p (List.to_seq trace) in
+  let report = Obs.Report.to_json (Parallel_executor.report p r) in
+  let events = List.map snd (Parallel_executor.events p) in
+  check_bool "trace non-trivial" true (List.length events > 50);
+  match Obs.Report.verify ~report ~events with
+  | Ok () -> ()
+  | Error ps ->
+      Alcotest.failf "verify failed:@.%a" Fmt.(list ~sep:cut string) ps
+
 (* ------------------------------------------------------------------ *)
-(* Sharded driver guardrails *)
+(* The multi-query fleet *)
+
+(* Three kills on two shards, shard 1 hit twice: supervision replays each
+   victim's history and every query still answers what the fault-free
+   sequential run answers. *)
+let test_sharded_kills_recover () =
+  let reg = star_registry () in
+  let trace =
+    Synth.round_trace_defs (union_defs reg) { trace_config with rounds = 30 }
+  in
+  let expected = multi_hashes Executor.Config.default ~share:true reg trace in
+  let kills =
+    [
+      { Fault_injector.shard = 1; at_seq = 60 };
+      { Fault_injector.shard = 0; at_seq = 200 };
+      { Fault_injector.shard = 1; at_seq = 300 };
+    ]
+  in
+  check_bool "trace reaches the last kill" true (List.length trace > 300);
+  let p =
+    Parallel_executor.create_multi ~kills ~max_restarts:2 ~shards:2 reg
+  in
+  let r = Parallel_executor.run p (List.to_seq trace) in
+  List.iter
+    (fun (qid, outputs) ->
+      let a = Multi_executor.answer outputs in
+      check_bool (qid ^ " = fault-free") true
+        (List.assoc qid expected
+        = (a.Multi_executor.hash, a.Multi_executor.emitted)))
+    r.Parallel_executor.per_query;
+  let log = Parallel_executor.restarts_log p in
+  check_int "three restarts" 3 (Parallel_executor.crash_count p);
+  check_bool "the log lists them" true
+    (List.sort compare
+       (List.map
+          (fun (x : Parallel_executor.restart) -> (x.shard, x.attempt))
+          log)
+    = [ (0, 1); (1, 1); (1, 2) ])
 
 let test_sharded_guardrails () =
   let reg = star_registry () in
+  let kill = [ { Fault_injector.shard = 2; at_seq = 10 } ] in
   Alcotest.check_raises "shards must be positive"
-    (Invalid_argument "Multi_executor.run_sharded: shards must be positive")
+    (Invalid_argument "Parallel_executor.create_multi: shards must be positive")
+    (fun () -> ignore (Parallel_executor.create_multi ~shards:0 reg));
+  Alcotest.check_raises "kill beyond the fleet"
+    (Invalid_argument
+       "Parallel_executor.create_multi: kill aimed at shard 2, the fleet has 2")
     (fun () ->
-      ignore (Multi_executor.run_sharded ~shards:0 reg (List.to_seq [])));
+      ignore (Parallel_executor.create_multi ~kills:kill ~shards:2 reg));
+  let q = star_q1 () in
+  let plan = Plan.mjoin (Cjq.stream_names q) in
+  Alcotest.check_raises "single plan: shards must be positive"
+    (Invalid_argument "Parallel_executor.create: shards must be positive")
+    (fun () -> ignore (Parallel_executor.create ~shards:0 q plan));
+  Alcotest.check_raises "single plan: kill beyond the fleet"
+    (Invalid_argument
+       "Parallel_executor.create: kill aimed at shard 2, the fleet has 2")
+    (fun () ->
+      ignore (Parallel_executor.create ~kills:kill ~shards:2 q plan));
   (* Conflicting schemas for one stream name are a registry-level error. *)
   let r_alt = int_schema "R" [ "K"; "Z"; "W" ] in
   let clash =
@@ -513,9 +574,13 @@ let () =
         [
           Alcotest.test_case "shared-run trace verifies" `Quick
             test_shared_run_trace_verifies;
+          Alcotest.test_case "sharded-run trace verifies" `Quick
+            test_sharded_run_trace_verifies;
         ] );
       ( "sharded",
         [
           Alcotest.test_case "guardrails" `Quick test_sharded_guardrails;
+          Alcotest.test_case "kills recover the fault-free answer" `Quick
+            test_sharded_kills_recover;
         ] );
     ]
