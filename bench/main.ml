@@ -672,7 +672,7 @@ let w1 () =
         (fun e ->
           List.iter
             (fun out -> if Element.is_data out then incr found)
-            (wj.Engine.Operator.push e);
+            (wj.Engine.Operator.push [| e |]);
           peak := max !peak (wj.Engine.Operator.data_state_size ()))
         trace;
       row "%-26s %-10d %-10s %-10d@."
@@ -840,7 +840,7 @@ let x1 () =
       (fun e ->
         List.iter
           (fun out -> if Element.is_data out then incr results)
-          (op.Engine.Operator.push e);
+          (op.Engine.Operator.push [| e |]);
         peak := max !peak (op.Engine.Operator.data_state_size ()))
       [
         Element.Data (Tuple.make t1 [ Value.Int k; Value.Int (k + n) ]);
@@ -1254,14 +1254,13 @@ let b2 () =
      it, so each speedup mixes that difference with sharding)@."
 
 (* ------------------------------------------------------------------ *)
-(* B3 — batched hot path: push_batch + compiled probe programs          *)
+(* B3 — batched hot path: long runs + compiled probe programs         *)
 
-(* Element-at-a-time vs batched driving of the same workloads, with GC
-   allocation accounting: the batched path compiles each probe order into
-   an array-indexed program once, specializes single-attribute Int keys,
-   and coalesces eager purge rounds per batch, so both wall time and
-   minor-heap churn per element should drop. Hash equality between the two
-   paths (and across shard counts) is asserted, not just reported. *)
+(* Runs of one vs runs of [batch] through the same feeding path, with GC
+   allocation accounting: long runs coalesce eager purge rounds and
+   amortize per-call overhead, so both wall time and minor-heap churn per
+   element should drop. Hash equality between the two cut sizes (and
+   across shard counts) is asserted, not just reported. *)
 
 type hot_row = {
   hp_id : string;
@@ -1313,7 +1312,7 @@ let write_hot_path_json path ~batch ~shards_checked rows =
   close_out oc
 
 let b3 () =
-  section "B3" "batched hot path (push_batch) -> BENCH_hot_path.json";
+  section "B3" "batched hot path (runs of 256) -> BENCH_hot_path.json";
   let batch = 256 in
   let gc = Gc.get () in
   Gc.set

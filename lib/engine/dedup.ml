@@ -75,8 +75,7 @@ let create ?(name = "dedup") ~input ~key () =
     Operator.name;
     out_schema = input;
     input_names = [ Schema.stream_name input ];
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush = (fun () -> []);
     data_state_size = (fun () -> Hashtbl.length seen);
     punct_state_size = (fun () -> 0);

@@ -141,8 +141,7 @@ let create ?(name = "disjunctive_join") ?(policy = Purge_policy.Eager) ~left
     Operator.name;
     out_schema;
     input_names = [ left.name; right.name ];
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush;
     data_state_size =
       (fun () -> Join_state.size l.state + Join_state.size r.state);

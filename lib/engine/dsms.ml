@@ -35,8 +35,8 @@ let of_register ?(policy = Purge_policy.Eager) register =
   List.iter (fun r -> Hashtbl.replace outputs r.name (ref [])) runners;
   { register; runners; seen = 0; delivered = 0; skipped = 0; outputs }
 
-(* Executor.run drives a whole sequence; for element-at-a-time delivery the
-   DSMS reaches for the tree-feeding internals. *)
+(* Executor.run drives a whole sequence; routing decides per element, so
+   the DSMS feeds each delivered element to its tree as a run of one. *)
 let push t element =
   t.seen <- t.seen + 1;
   List.filter_map
@@ -57,7 +57,7 @@ let push t element =
       end
       else begin
         t.delivered <- t.delivered + 1;
-        let outs = Executor.feed_element r.compiled element in
+        let outs = Executor.feed_batch r.compiled [| element |] in
         let sink = Hashtbl.find t.outputs r.name in
         List.iter
           (fun e ->

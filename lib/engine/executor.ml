@@ -79,6 +79,13 @@ let attr_in_node node s attr =
   | Leaf _ -> attr
   | Inner _ -> Schema.qualify_attr ~origin:s attr
 
+let rec register_leaves ct = function
+  | Leaf l ->
+      List.iter
+        (fun sch -> Contract.register_source ct ~stream:l.stream sch)
+        l.schemes
+  | Inner i -> List.iter (register_leaves ct) i.children
+
 let compile ?(config = Config.default) query plan =
   let {
     Config.policy;
@@ -216,13 +223,6 @@ let compile ?(config = Config.default) query plan =
           }
   in
   let root = build plan in
-  let rec register_leaves ct = function
-    | Leaf l ->
-        List.iter
-          (fun sch -> Contract.register_source ct ~stream:l.stream sch)
-          l.schemes
-    | Inner i -> List.iter (register_leaves ct) i.children
-  in
   Option.iter (fun ct -> register_leaves ct root) contract;
   { root; all_ops = List.rev !ops; cfg = config;
     unreachable = List.rev !unreachable }
@@ -235,15 +235,7 @@ let contract c = c.cfg.Config.contract
 (* Arm a (possibly different) contract's stall tracking with this tree's
    leaf sources — the sharded driver tracks stalls on its own contract
    while the per-shard contracts handle late data inside the workers. *)
-let register_sources ct c =
-  let rec go = function
-    | Leaf l ->
-        List.iter
-          (fun sch -> Contract.register_source ct ~stream:l.stream sch)
-          l.schemes
-    | Inner i -> List.iter go i.children
-  in
-  go c.root
+let register_sources ct c = register_leaves ct c.root
 
 let unreachable_inputs c op_name =
   match List.assoc_opt op_name c.unreachable with Some l -> l | None -> []
@@ -290,32 +282,17 @@ type result = {
   emitted : int;
 }
 
-(* Push one raw-stream element through the tree; returns root outputs. *)
-let rec feed node element =
-  match node with
-  | Leaf l ->
-      if String.equal l.stream (Element.stream_name element) then [ element ]
-      else []
-  | Inner i ->
-      let stream = Element.stream_name element in
-      if not (List.mem stream i.leafset) then []
-      else
-        List.concat_map
-          (fun child ->
-            List.concat_map i.op.Operator.push (feed child element))
-          i.children
-
-(* Push a run of raw-stream elements through the tree, batched. A run of
+(* Push a run of raw-stream elements through the tree. A run of
    consecutive elements owned by leaf children — any mix of their streams —
-   becomes a single [push_batch] call on this node's operator: leaves are
-   identity passthroughs and the operator dispatches per element by stream
-   name internally, so nothing requires splitting by stream (splitting per
-   child would degrade flat plans, whose traces alternate streams, to
-   batch size 1). Elements owned by an Inner child are reduced by that
-   child first (recursively batched, grouped by consecutive ownership) and
-   the child's outputs form their own [push_batch] call. Data outputs are
-   identical to feeding one element at a time; punctuation outputs may be
-   grouped per run as {!Operator.t.push_batch} allows. *)
+   becomes a single [push] on this node's operator: leaves are identity
+   passthroughs and the operator dispatches per element by stream name
+   internally, so nothing requires splitting by stream (splitting per
+   child would degrade flat plans, whose traces alternate streams, to runs
+   of one). Elements owned by an Inner child are reduced by that child
+   first (recursively, grouped by consecutive ownership) and the child's
+   outputs form their own run. Data outputs do not depend on where the
+   input is cut; punctuation outputs may be grouped per run as
+   {!Operator.t.push} allows. *)
 let rec feed_batch node (elements : Element.t array) =
   match node with
   | Leaf l ->
@@ -332,7 +309,7 @@ let rec feed_batch node (elements : Element.t array) =
         | [] -> ()
         | xs ->
             buf := [];
-            add (i.op.Operator.push_batch (Array.of_list (List.rev xs)))
+            add (i.op.Operator.push (Array.of_list (List.rev xs)))
       in
       let n = Array.length elements in
       let j = ref 0 in
@@ -363,12 +340,13 @@ let rec feed_batch node (elements : Element.t array) =
               done;
               (match feed_batch child (Array.of_list (List.rev !run)) with
               | [] -> ()
-              | reduced -> add (i.op.Operator.push_batch (Array.of_list reduced)))
+              | reduced -> add (i.op.Operator.push (Array.of_list reduced)))
       done;
       flush_buf ();
       List.rev !acc
 
-(* Drain deferred purge/propagation work bottom-up. *)
+(* Drain deferred purge/propagation work bottom-up: each child's flush
+   outputs reach this node's operator as one run. *)
 let rec final_flush node =
   match node with
   | Leaf _ -> []
@@ -376,12 +354,12 @@ let rec final_flush node =
       let from_children =
         List.concat_map
           (fun child ->
-            List.concat_map i.op.Operator.push (final_flush child))
+            match final_flush child with
+            | [] -> []
+            | outs -> i.op.Operator.push (Array.of_list outs))
           i.children
       in
       from_children @ i.op.Operator.flush ()
-
-let feed_element c element = feed c.root element
 
 let feed_batch c elements = feed_batch c.root elements
 
@@ -408,7 +386,7 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
               (fun e' ->
                 if Element.is_data e' then incr emitted;
                 outputs := e' :: !outputs)
-              (op.push e)
+              (op.push [| e |])
         | None ->
             if Element.is_data e then incr emitted;
             outputs := e :: !outputs)
@@ -431,15 +409,10 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
              ~bytes_now:(fun () -> total_state_bytes c)
              ())
   in
-  (* Without [batch] the grid cuts at every element and each run goes
-     through [feed]; with it, runs of up to [batch] elements go through
-     the operators' push_batch fast path. The element clock jumps to the
-     run-end tick before the feed — within-run events share it. *)
-  let cap, push =
-    match batch with
-    | None -> (1, fun arr -> feed c.root arr.(0))
-    | Some b -> (max 1 b, feed_batch c)
-  in
+  (* The grid cuts runs of up to [batch] elements (one without it). The
+     element clock jumps to the run-end tick before the feed — within-run
+     events share it. *)
+  let cap = match batch with None -> 1 | Some b -> max 1 b in
   let consumed =
     Grid.feed ~sample_every ~cap elements
       ~run:(fun ~base arr ->
@@ -450,7 +423,7 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
               (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
               arr
         | None -> ());
-        accept (push arr))
+        accept (feed_batch c arr))
       ~point:(fun ~tick ->
         contract_checks ~tick;
         Grid.sample grid ~tick ~emitted:!emitted parts;

@@ -109,12 +109,12 @@ type result = {
     [label] on the start marker), stamps the element clock, and maintains
     the grid's state gauges, GC counters and watchdog feed.
 
-    [batch] (default: element-at-a-time) drives the tree through the
-    operators' {!Operator.t.push_batch} fast path in groups of up to
-    [batch] elements, always cutting at the sampling grid so the metrics
-    series is identical to the element path. Data outputs are identical;
-    propagated punctuations may be grouped per punctuation run; telemetry
-    events inside a batch share the batch-end tick.
+    [batch] (default 1) is the run size: the input reaches the tree
+    through {!feed_batch} in runs of up to [batch] elements, always cut
+    at the sampling grid, so the metrics series does not depend on it.
+    Data outputs are identical at every size; propagated punctuations may
+    be grouped per punctuation run; telemetry events inside a run share
+    the run-end tick.
 
     [exporter], when given, receives one rendered {!Obs.Openmetrics}
     snapshot of the telemetry registry per grid point via
@@ -182,18 +182,15 @@ val part : compiled -> Grid.part
     the run metadata ([consumed]/[emitted] are always present). *)
 val report : ?meta:(string * Obs.Json.t) list -> compiled -> result -> Obs.Report.t
 
-(** Element-at-a-time driving, for callers that multiplex several compiled
-    queries over one input (the DSMS): [feed_element] pushes one element
-    through the tree and returns the root outputs; [flush_tree] drains
-    deferred purge/propagation work bottom-up (call once, at end of
-    input). *)
-val feed_element : compiled -> Streams.Element.t -> Streams.Element.t list
-
-(** [feed_batch c elements] — the batched counterpart of {!feed_element}:
-    one push of a run of consecutive input elements through the tree via
-    the operators' {!Operator.t.push_batch} fast path. Data outputs are
-    identical to feeding the elements one at a time; punctuation outputs
-    may be grouped per punctuation run. *)
+(** Driving a tree by hand, for callers that multiplex several compiled
+    trees over one input ({!Multi_executor}, {!Dsms}). [feed_batch c run]
+    pushes a run of consecutive input elements through the tree (streams
+    outside its leaves are skipped) and returns the root outputs; a run
+    of one is the element-at-a-time case. Data outputs do not depend on
+    where the input is cut; punctuation outputs may be grouped per
+    punctuation run. [flush_tree c] drains deferred purge/propagation
+    work bottom-up, each child's flush outputs reaching its parent as
+    one run (call once, at end of input). *)
 val feed_batch : compiled -> Streams.Element.t array -> Streams.Element.t list
 
 val flush_tree : compiled -> Streams.Element.t list

@@ -172,8 +172,7 @@ let create ?(name = "groupby") ~input ~group_by ~aggregate () =
     Operator.name;
     out_schema;
     input_names = [ Schema.stream_name input ];
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush = (fun () -> []);
     data_state_size = (fun () -> Hashtbl.length groups);
     punct_state_size = (fun () -> 0);

@@ -558,17 +558,17 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
 
   (* --- the operator --------------------------------------------------- *)
   let trigger_of_policy () = Fmt.str "%a" Purge_policy.pp policy in
-  let push_batch arr =
+  let push arr =
     let acc = ref [] in
     let add outs = List.iter (fun e -> acc := e :: !acc) outs in
-    (* Eager rounds are amortized per batch: a run of punctuations
+    (* Eager rounds are amortized per run: a run of punctuations
        accumulates in [pending_puncts] and a single round fires before the
        next data element probes (so data results see the same purged state
-       as the element-at-a-time path — purged tuples are provably
-       unmatchable, so results are unaffected) and again at batch end, so
-       purge lag stays 0 on batch boundaries. Propagated punctuations for
-       the run are emitted together — multiset-equal to the per-element
-       path, as {!Operator.t.push_batch} allows. *)
+       as runs of one would — purged tuples are provably unmatchable, so
+       results are unaffected) and again at run end, so purge lag stays 0
+       on run boundaries. Propagated punctuations for the run are emitted
+       together — multiset-equal to runs of one, as {!Operator.t.push}
+       allows. *)
     let flush_coalesced () =
       match policy with
       | Purge_policy.Eager when !pending_puncts > 0 ->
@@ -686,7 +686,6 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     flush_coalesced ();
     List.rev !acc
   in
-  let push element = push_batch [| element |] in
   let flush () =
     match policy with
     | Purge_policy.Never -> []
@@ -746,7 +745,6 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     out_schema;
     input_names = names;
     push;
-    push_batch;
     flush;
     data_state_size =
       (fun () ->

@@ -162,10 +162,11 @@ let of_plan ?(config = Executor.Config.default) ~qid query plan =
 
 (* One step of the DAG: every shared group consumes [feed_group]'s share
    of the input, then each query's tree takes its direct input followed
-   by its group's outputs ([push] feeds a tree one list of elements) and,
-   at end of input, flushes. A fully covered query answers with its
-   group's outputs as they are. *)
-let step t ~feed_group ~feed_direct ~push ~flush_units =
+   by its group's outputs as one more run and, at end of input, flushes.
+   The order within every input stream is kept, which is all a join's
+   answer depends on. A fully covered query answers with its group's
+   outputs as they are. *)
+let step t ~feed_group ~feed_direct ~flush_units =
   let from_groups =
     List.map (fun (g : group) -> (g.gid, feed_group g)) t.groups
   in
@@ -180,7 +181,8 @@ let step t ~feed_group ~feed_direct ~push ~flush_units =
         | Some tree ->
             let direct = feed_direct tree in
             let via_shared =
-              if shared_in = [] then [] else push tree shared_in
+              if shared_in = [] then []
+              else Executor.feed_batch tree (Array.of_list shared_in)
             in
             let tail = if flush_units then Executor.flush_tree tree else [] in
             List.concat [ direct; via_shared; tail ]
@@ -188,22 +190,12 @@ let step t ~feed_group ~feed_direct ~push ~flush_units =
       if outs = [] then None else Some (u.qid, outs))
     t.qunits
 
-let feed_element t e =
-  step t
-    ~feed_group:(fun g -> Executor.feed_element g.gtree e)
-    ~feed_direct:(fun tree -> Executor.feed_element tree e)
-    ~push:(fun tree outs -> List.concat_map (Executor.feed_element tree) outs)
-    ~flush_units:false
-
 (* Each tree takes the whole run ([Executor.feed_batch] skips streams
-   outside its leaves) and a residual tree its group's outputs as one more
-   run: the order within every input stream is kept, which is all a
-   join's answer depends on. *)
+   outside its leaves). *)
 let feed_batch t arr =
   step t
     ~feed_group:(fun g -> Executor.feed_batch g.gtree arr)
     ~feed_direct:(fun tree -> Executor.feed_batch tree arr)
-    ~push:(fun tree outs -> Executor.feed_batch tree (Array.of_list outs))
     ~flush_units:false
 
 let flush t =
@@ -213,7 +205,6 @@ let flush t =
   step t
     ~feed_group:(fun g -> Executor.flush_tree g.gtree)
     ~feed_direct:(fun _ -> [])
-    ~push:(fun tree outs -> List.concat_map (Executor.feed_element tree) outs)
     ~flush_units:true
 
 (* --- state ------------------------------------------------------------- *)
@@ -286,7 +277,7 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
     Grid.feed ~sample_every ~cap:1 elements
       ~run:(fun ~base arr ->
         Telemetry.set_clock telemetry (base + 1);
-        accept (feed_element t arr.(0)))
+        accept (feed_batch t arr))
       ~point:(fun ~tick ->
         Grid.sample grid ~tick ~emitted:!emitted parts;
         Grid.publish grid ~tick)
@@ -305,32 +296,31 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
 
 (* --- report ------------------------------------------------------------ *)
 
+let answers_meta t per_query =
+  let json_list f l = Obs.Json.List (List.map f l) in
+  [
+    ( "queries",
+      json_list
+        (fun (qid, (qr : query_result)) ->
+          Obs.Json.Obj
+            [
+              ("qid", Obs.Json.String qid);
+              ("emitted", Obs.Json.Int qr.emitted);
+              ("hash", Obs.Json.String qr.hash);
+            ])
+        per_query );
+    ( "shared_groups",
+      json_list
+        (fun (g : group) ->
+          Obs.Json.Obj
+            [
+              ("gid", Obs.Json.String g.gid);
+              ("streams", json_list (fun s -> Obs.Json.String s) g.gstreams);
+            ])
+        t.groups );
+  ]
+
 let report ?(meta = []) t (r : result) =
-  let queries_meta =
-    Obs.Json.List
-      (List.map
-         (fun (qid, (qr : query_result)) ->
-           Obs.Json.Obj
-             [
-               ("qid", Obs.Json.String qid);
-               ("emitted", Obs.Json.Int qr.emitted);
-               ("hash", Obs.Json.String qr.hash);
-             ])
-         r.per_query)
-  in
-  let groups_meta =
-    Obs.Json.List
-      (List.map
-         (fun (g : group) ->
-           Obs.Json.Obj
-             [
-               ("gid", Obs.Json.String g.gid);
-               ( "streams",
-                 Obs.Json.List
-                   (List.map (fun s -> Obs.Json.String s) g.gstreams) );
-             ])
-         t.groups)
-  in
   let telemetry = t.config.Executor.Config.telemetry in
   Grid.report
     ~meta:
@@ -338,9 +328,8 @@ let report ?(meta = []) t (r : result) =
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
-          ("queries", queries_meta);
-          ("shared_groups", groups_meta);
-        ])
+        ]
+      @ answers_meta t r.per_query)
     ~registry:(Telemetry.registry telemetry)
     ~alarms:(Telemetry.alarms telemetry)
     (parts t) r.metrics

@@ -58,24 +58,21 @@ val registry : t -> Query.Query_registry.t
     definitions (deduped by name); the input surface of the DAG. *)
 val stream_defs : t -> Streams.Stream_def.t list
 
-(** [feed_element t e] — push one raw-stream element through the DAG:
-    every shared group reading [e]'s stream consumes it once, the group
-    outputs fan out to subscribers, residual/independent trees consume
-    [e] directly. Returns this tick's per-query outputs (queries with no
-    output this tick are omitted). *)
-val feed_element : t -> Streams.Element.t -> (string * Streams.Element.t list) list
-
-(** [feed_batch t run] — the batched counterpart of {!feed_element}: each
-    tree takes the whole run through {!Executor.feed_batch} (which skips
-    streams outside its leaves), and a residual tree then takes its
-    group's outputs as one more run. The order within every input stream
-    is kept, so per-query data outputs equal feeding the run element by
-    element. For a one-unit DAG this is exactly {!Executor.feed_batch}. *)
+(** [feed_batch t run] — push a run of raw-stream elements through the
+    DAG: every shared group reading the run's streams consumes them once
+    through {!Executor.feed_batch} (which skips streams outside its
+    leaves), residual/independent trees consume the run directly, and a
+    residual tree then takes its group's outputs as one more run. The
+    order within every input stream is kept, so per-query data outputs do
+    not depend on where the input is cut. Returns the run's per-query
+    outputs (queries with no output are omitted). For a one-unit DAG this
+    is exactly {!Executor.feed_batch}. *)
 val feed_batch :
   t -> Streams.Element.t array -> (string * Streams.Element.t list) list
 
-(** [flush t] — end-of-input: flush shared trees, fan their flush outputs
-    to subscribers, then flush residual/independent trees. Call once. *)
+(** [flush t] — end-of-input: flush shared trees, pass each group's
+    flush outputs to its subscribers as one run, then flush
+    residual/independent trees. Call once. *)
 val flush : t -> (string * Streams.Element.t list) list
 
 (** Per-query answer channel of a {!run}. *)
@@ -97,12 +94,12 @@ type result = {
 }
 
 (** [run ?sample_every ?label ?exporter t elements] — drive the DAG from
-    one interleaved sequence, element by element through {!Grid.feed},
-    mirroring {!Executor.run}: elements of streams no query reads are
-    ignored but still counted as ticks, every [sample_every] ticks the run
-    records the same {!Grid} point a sequential run does (one part per
-    tree), and [Run_start]/[Run_end] frame the trace. Shared state is
-    counted once in every total. *)
+    one interleaved sequence in runs of one through {!Grid.feed} and
+    {!feed_batch}, mirroring {!Executor.run}: elements of streams no query
+    reads are ignored but still counted as ticks, every [sample_every]
+    ticks the run records the same {!Grid} point a sequential run does
+    (one part per tree), and [Run_start]/[Run_end] frame the trace. Shared
+    state is counted once in every total. *)
 val run :
   ?sample_every:int ->
   ?label:string ->
@@ -131,10 +128,17 @@ val register_sources : Contract.t -> t -> unit
     (owner = qid). Shared operators appear exactly once. *)
 val state_breakdown : t -> (string * Executor.breakdown list) list
 
+(** [answers_meta t per_query] — the report's answer entries: ["queries"]
+    (qid, emitted and hash per query, in [per_query] order) and
+    ["shared_groups"] (gid and streams per committed group). {!report}
+    and a multi-query {!Parallel_executor.report} both write them. *)
+val answers_meta :
+  t -> (string * query_result) list -> (string * Obs.Json.t) list
+
 (** [report ?meta t result] — the machine-readable run report over {e all}
     operators of the DAG (shared ones once); replaying the telemetry
     trace reproduces its counters, so [pstream_obs verify] accepts
-    shared-run traces. Adds a ["queries"] meta entry and per-query
-    consumed/emitted/hash entries. *)
+    shared-run traces. Its meta carries [consumed], [emitted] and
+    {!answers_meta}. *)
 val report :
   ?meta:(string * Obs.Json.t) list -> t -> result -> Obs.Report.t

@@ -88,8 +88,7 @@ type t = {
   name : string;
   out_schema : Relational.Schema.t;
   input_names : string list;
-  push : Streams.Element.t -> Streams.Element.t list;
-  push_batch : Streams.Element.t array -> Streams.Element.t list;
+  push : Streams.Element.t array -> Streams.Element.t list;
   flush : unit -> Streams.Element.t list;
   data_state_size : unit -> int;
   punct_state_size : unit -> int;

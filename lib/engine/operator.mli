@@ -60,19 +60,17 @@ type t = {
   name : string;
   out_schema : Relational.Schema.t;
   input_names : string list;
-  push : Streams.Element.t -> Streams.Element.t list;
-      (** feed one input element, collect outputs in order *)
-  push_batch : Streams.Element.t array -> Streams.Element.t list;
+  push : Streams.Element.t array -> Streams.Element.t list;
       (** feed a run of input elements (any mix of the operator's inputs,
-          in arrival order), collect outputs. Contract with {!push}: the
-          data-tuple output sequence is identical to pushing the elements
-          one at a time, and the final operator state agrees on batch
-          boundaries; operators amortizing punctuation work per batch
+          in arrival order), collect outputs. This is the only way an
+          element enters an operator, and a run of one is the
+          element-at-a-time case. Cutting the input into runs never
+          changes the data-tuple output sequence or the final state at
+          run boundaries; operators amortizing punctuation work per run
           (see {!Mjoin}) may group propagated punctuations at the end of a
-          punctuation run instead of emitting them per punctuation, so
-          punctuation outputs are sequence-equal only as a multiset per
-          run. Non-batching operators use {!batch_of_push}, which is
-          exactly the element-at-a-time path. *)
+          punctuation run, so punctuation outputs are sequence-equal only
+          as a multiset per run. Element-wise operators build [push] with
+          {!batch_of_push}. *)
   flush : unit -> Streams.Element.t list;
       (** run any deferred purge/propagation work (lazy policies) *)
   data_state_size : unit -> int;
@@ -90,10 +88,8 @@ type t = {
           through unchanged *)
 }
 
-(** [batch_of_push push] — the default batch implementation: push each
-    element in order and concatenate the outputs. Byte-identical to the
-    element-at-a-time path, so operators without a native batch fast path
-    set [push_batch = batch_of_push push]. *)
+(** [batch_of_push push] — a run entry from an element-wise one: push
+    each element in order and concatenate the outputs. *)
 val batch_of_push :
   (Streams.Element.t -> Streams.Element.t list) ->
   Streams.Element.t array ->

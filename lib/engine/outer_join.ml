@@ -389,12 +389,11 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
         end;
         propagate acc
   in
-  let push_batch arr =
+  let push arr =
     let acc = ref [] in
     Array.iter (process acc) arr;
     List.rev !acc
   in
-  let push element = push_batch [| element |] in
   let flush () =
     (* End of stream proves no partner will ever arrive: every pending
        tuple is an unmatched result, and whatever the stores still hold can
@@ -482,7 +481,6 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
     out_schema;
     input_names = [ left.name; right.name ];
     push;
-    push_batch;
     flush;
     data_state_size =
       (fun () ->

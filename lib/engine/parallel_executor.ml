@@ -72,7 +72,7 @@ type shard = {
 
 type t = {
   router : Shard_router.t;
-  qids : string list;  (** the queries the fleet answers, registry order *)
+  multi : bool;  (** compiled from a registry by {!create_multi} *)
   shards : shard array;
   (* Barrier monitor: workers announce arrival on [arrived] and park on
      [released] until [release] passes their barrier id. Blocking (not
@@ -193,7 +193,7 @@ let check_args ~who ~shards ~kills ~max_restarts =
 (* The fleet over [router]'s shards, each incarnation a DAG from
    [compile_shard] under its own telemetry handle and contract. *)
 let fleet ~watchdog ~instrument ~contract_config ~kills ~max_restarts
-    ~checkpoint ~resume ~router ~qids compile_shard =
+    ~checkpoint ~resume ~router ~multi compile_shard =
   let n = Shard_router.shards router in
   let mk_tel () =
     if instrument then
@@ -259,7 +259,7 @@ let fleet ~watchdog ~instrument ~contract_config ~kills ~max_restarts
     driver_contract;
   {
     router;
-    qids;
+    multi;
     shards;
     lock = Mutex.create ();
     arrived = Condition.create ();
@@ -294,7 +294,7 @@ let create ?(config = Executor.Config.default) ?watchdog
   (* Per-shard telemetry/contract override whatever the caller's config
      carried: each incarnation owns its handles. *)
   fleet ~watchdog ~instrument ~contract_config ~kills ~max_restarts
-    ~checkpoint ~resume ~router ~qids:[ query_id ] (fun telemetry contract ->
+    ~checkpoint ~resume ~router ~multi:false (fun telemetry contract ->
       Multi_executor.of_plan ~qid:query_id
         ~config:{ config with Executor.Config.telemetry; contract }
         query plan)
@@ -316,7 +316,7 @@ let create_multi ?(config = Executor.Config.default) ?(share = true)
        partitioning of their streams";
   fleet ~watchdog ~instrument ~contract_config:None ~kills ~max_restarts
     ~checkpoint:None ~resume:None ~router
-    ~qids:(Query.Query_registry.qids registry) (fun telemetry _ ->
+    ~multi:true (fun telemetry _ ->
       Multi_executor.create
         ~config:{ config with Executor.Config.telemetry }
         ~share registry)
@@ -370,14 +370,14 @@ let worker t shard =
     match Spsc.pop_wait shard.queue with
     | `Closed -> ()
     | `Item (Batch arr) ->
-        (* Feed the whole batch through the operators' push_batch fast
-           path. Outputs are recorded under the batch's last seq — the
-           merge key stays deterministic (outputs of seq s still precede
-           outputs of any s' > s; within-batch attribution is coarser, and
-           cross-run comparisons are by output multiset/hash anyway). A
-           pending kill splits the batch: the prefix strictly before the
-           kill seq is fed batched, then the kill fires exactly where the
-           per-element path would have raised. *)
+        (* Feed the whole batch to the DAG as one run. Outputs are
+           recorded under the batch's last seq — the merge key stays
+           deterministic (outputs of seq s still precede outputs of any
+           s' > s; within-batch attribution is coarser, and cross-run
+           comparisons are by output multiset/hash anyway). A pending kill
+           splits the batch: the prefix strictly before the kill seq is
+           fed as one run, then the kill fires exactly where runs of one
+           would have raised. *)
         (* Earliest armed kill aimed at this shard that lands in this
            batch. The whole schedule is scanned: two kills of the same
            shard at different sequence points both fire (the second hits
@@ -961,7 +961,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
             (fun (_, _, _, q, el) ->
               if String.equal q qid then Some el else None)
             merged ))
-      t.qids
+      (Query.Query_registry.qids (Multi_executor.registry t.shards.(0).dag))
   in
   if Telemetry.enabled t.driver then begin
     (* Merged trace order: tick, then shard, then per-shard emission
@@ -1009,6 +1009,14 @@ let report ?(meta = []) t (r : result) =
         let all = Option.to_list t.driver_contract @ shards in
         [ ("contract", Obs.Json.Obj (Contract.meta_counters all)) ]
   in
+  let answers_meta =
+    if not t.multi then []
+    else
+      Multi_executor.answers_meta t.shards.(0).dag
+        (List.map
+           (fun (qid, outs) -> (qid, Multi_executor.answer outs))
+           r.per_query)
+  in
   Grid.report
     ~meta:
       ((("shards", Obs.Json.Int (n_shards t)) :: meta)
@@ -1017,5 +1025,5 @@ let report ?(meta = []) t (r : result) =
           ("emitted", Obs.Json.Int r.emitted);
           ("shard_crashes", Obs.Json.Int (crash_count t));
         ]
-      @ contract_meta)
+      @ contract_meta @ answers_meta)
     ~registry:(merged_registry t) ~alarms:(alarms t) (parts t) r.metrics

@@ -255,8 +255,9 @@ val shard_breakdowns : t -> Executor.breakdown list array
 (** [report ?meta t result] — aggregated run report: operator stats and
     state summed across shards, registries merged ({!Obs.Registry.merged}),
     the driver's series and alarms, plus ["shards"] and ["shard_crashes"]
-    meta entries (and a ["contract"] summary when a contract is armed).
-    Replaying the merged {!events} trace reproduces its counters, exactly
-    as for a sequential report. *)
+    meta entries (and a ["contract"] summary when a contract is armed; a
+    {!create_multi} fleet adds {!Multi_executor.answers_meta}, as the
+    sequential multi-query report does). Replaying the merged {!events}
+    trace reproduces its counters, exactly as for a sequential report. *)
 val report :
   ?meta:(string * Obs.Json.t) list -> t -> result -> Obs.Report.t

@@ -49,12 +49,10 @@ let orders names predicates =
 
 (* --- compiled probe programs ------------------------------------------- *)
 
-(* The assignment-extension loop above resolves input names, attribute
-   names and index shapes per candidate, per push. A compiled program does
-   all of that once at plan time: inputs become integer slot ids, attribute
-   names become positions, and the hash index of every keyed step is
-   resolved to a {!Join_state.handle}. The runtime loop then only touches
-   arrays. *)
+(* A compiled program resolves a walk once at plan time: inputs become
+   integer slot ids, attribute names become positions, and the hash index
+   of every keyed step is resolved to a {!Join_state.handle}. The runtime
+   loop then only touches arrays. *)
 
 type ckey = {
   bound_slot : int;  (** already-bound slot carrying the probe value *)
@@ -140,11 +138,9 @@ let run_compiled prog tuple ~emit =
   (* Depth-first over the compiled steps; [asg] is reused in place, so
      [emit] must consume the array immediately (result assembly copies the
      values out anyway). Slots not yet bound alias the origin tuple, which
-     is safe: a step only ever reads slots the walk has already bound. The
-     emission order is identical to the level-by-level extension of [run] —
-     candidates are visited in the same per-bucket order, and depth-first
-     completion enumerates the same lexicographic sequence its concat_map
-     produces. *)
+     is safe: a step only ever reads slots the walk has already bound.
+     Candidates are visited in per-bucket order, so results come out in
+     the lexicographic order of the walk's steps. *)
   let asg = Array.make prog.n_slots tuple in
   let m = Array.length prog.steps in
   let rec go i =
@@ -228,43 +224,3 @@ let run_compiled_entries prog tuple ~tick ~emit =
     end
   in
   go 0
-
-let run ~steps ~state_of ~schema_of ~origin tuple =
-  let extend partials step =
-    List.concat_map
-      (fun assignment ->
-        let state = state_of step.step_input in
-        let candidates =
-          match step.key_atoms with
-          | atom :: _ ->
-              let bound_stream, bound_attr =
-                Predicate.other_side atom step.step_input
-              in
-              let bound_tuple = List.assoc bound_stream assignment in
-              let v = Tuple.get_named bound_tuple bound_attr in
-              let attr_idx =
-                Schema.attr_index
-                  (schema_of step.step_input)
-                  (Predicate.attr_on atom step.step_input)
-              in
-              Join_state.probe state ~attrs:[ attr_idx ] [ v ]
-          | [] -> Join_state.fold (fun acc x -> x :: acc) [] state
-        in
-        let extra_atoms =
-          step.check_atoms
-          @ match step.key_atoms with _ :: rest -> rest | [] -> []
-        in
-        List.filter_map
-          (fun cand ->
-            let ok =
-              List.for_all
-                (fun atom ->
-                  let other, _ = Predicate.other_side atom step.step_input in
-                  Predicate.eval atom cand (List.assoc other assignment))
-                extra_atoms
-            in
-            if ok then Some ((step.step_input, cand) :: assignment) else None)
-          candidates)
-      partials
-  in
-  List.fold_left extend [ [ (origin, tuple) ] ] steps

@@ -1,6 +1,6 @@
-(** Shared probe machinery for the n-ary symmetric joins ({!Mjoin},
+(** Shared probe machinery for the joins ({!Mjoin}, {!Outer_join},
     {!Window_join}): a spanning walk of the operator-level join graph from
-    each input, and the assignment-extension loop that evaluates it against
+    each input, compiled to a program that extends assignments against
     hash-indexed join states. *)
 
 (** One step of a probe walk: visit [step_input], hash-probing on the first
@@ -38,7 +38,7 @@ val compile :
 (** [run_compiled prog tuple ~emit] walks [prog] with the origin slot bound
     to [tuple] and calls [emit] once per complete assignment with the
     slot-indexed tuple array. The array is reused across emissions — [emit]
-    must copy what it keeps. Emission order matches {!run}. *)
+    must copy what it keeps. *)
 val run_compiled :
   prog -> Relational.Tuple.t -> emit:(Relational.Tuple.t array -> unit) -> unit
 
@@ -52,14 +52,3 @@ val run_compiled_entries :
   tick:int ->
   emit:(Relational.Tuple.t array -> int array -> unit) ->
   unit
-
-(** [run ~steps ~state_of ~schema_of ~origin tuple] — every complete
-    assignment (input name -> matched tuple, the origin bound to [tuple])
-    produced by walking [steps] against the current states. *)
-val run :
-  steps:step list ->
-  state_of:(string -> Join_state.t) ->
-  schema_of:(string -> Relational.Schema.t) ->
-  origin:string ->
-  Relational.Tuple.t ->
-  (string * Relational.Tuple.t) list list

@@ -45,8 +45,7 @@ let create ?(name = "select") ~input ~conditions () =
     Operator.name;
     out_schema = input;
     input_names = [ Schema.stream_name input ];
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush = (fun () -> []);
     data_state_size = (fun () -> 0);
     punct_state_size = (fun () -> 0);

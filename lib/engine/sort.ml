@@ -42,8 +42,7 @@ let create ?(name = "sort") ~input ~by () =
     Operator.name;
     out_schema = input;
     input_names = [ Schema.stream_name input ];
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush =
       (fun () ->
         (* end of stream: everything left can be emitted in order *)

@@ -76,25 +76,10 @@ let wrap_op t (op : Operator.t) =
         emit t (Obs.Event.Punct_out { tick = now t; op = op.name; count = puncts })
       end
     in
-    let push e =
-      let input = Element.stream_name e in
-      (match e with
-      | Element.Data _ ->
-          incr t c_tuples_in;
-          emit t (Obs.Event.Tuple_in { tick = now t; op = op.name; input })
-      | Element.Punct _ ->
-          incr t c_puncts_in;
-          emit t (Obs.Event.Punct_in { tick = now t; op = op.name; input }));
-      let t0 = t.time () in
-      let outs = op.push e in
-      observe t h_push (t.time () - t0);
-      record_outs outs;
-      outs
-    in
-    let push_batch arr =
-      (* Same per-element in-events as the element path (replay must not be
-         able to tell the two apart); one timing observation per batch call
-         so push_ns reflects the amortized cost. *)
+    let push arr =
+      (* One in-event per element, so replay counts what the operator
+         consumed; one timing observation per call, so push_ns is the
+         cost of a run. *)
       Array.iter
         (fun e ->
           let input = Element.stream_name e in
@@ -107,7 +92,7 @@ let wrap_op t (op : Operator.t) =
               emit t (Obs.Event.Punct_in { tick = now t; op = op.name; input }))
         arr;
       let t0 = t.time () in
-      let outs = op.push_batch arr in
+      let outs = op.push arr in
       observe t h_push (t.time () - t0);
       record_outs outs;
       outs
@@ -117,5 +102,5 @@ let wrap_op t (op : Operator.t) =
       record_outs outs;
       outs
     in
-    { op with push; push_batch; flush }
+    { op with push; flush }
   end

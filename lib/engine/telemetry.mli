@@ -63,6 +63,7 @@ val close : t -> unit
 
 (** [wrap_op t op] — [op] with its [push]/[flush] wrapped to record
     per-operator ingress/egress counters, [Tuple_in]/[Punct_in]/
-    [Tuple_out]/[Punct_out] events and the [<op>.push_ns] latency
-    histogram. Returns [op] unchanged when [t] is disabled. *)
+    [Tuple_out]/[Punct_out] events (one in-event per element) and the
+    [<op>.push_ns] latency histogram (one observation per run). Returns
+    [op] unchanged when [t] is disabled. *)
 val wrap_op : t -> Operator.t -> Operator.t

@@ -73,8 +73,7 @@ let create ?(name = "union") ~left ~right () =
     Operator.name;
     out_schema;
     input_names = List.map fst stores;
-    push;
-    push_batch = Operator.batch_of_push push;
+    push = Operator.batch_of_push push;
     flush = (fun () -> []);
     data_state_size = (fun () -> 0);
     punct_state_size =

@@ -31,20 +31,28 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
     List.map (fun input -> (input.name, Join_state.create input.schema)) inputs
   in
   let state_of n = List.assoc n states in
-  let schema_of n =
-    (List.find (fun i -> i.name = n) inputs).schema
-  in
   let out_schema =
     Schema.concat_all ~stream:name (List.map (fun i -> i.schema) inputs)
   in
-  let orders = Probe.orders names predicates in
+  let progs =
+    let names_arr = Array.of_list names in
+    let schemas = Array.of_list (List.map (fun i -> i.schema) inputs) in
+    let states = Array.of_list (List.map snd states) in
+    List.map
+      (fun (n, steps) ->
+        (n, Probe.compile ~names:names_arr ~schemas ~states ~steps))
+      (Probe.orders names predicates)
+  in
   let stats = ref Operator.empty_stats in
   let now = ref 0 in
-  let assemble assignment =
-    Tuple.make out_schema
-      (List.concat_map
-         (fun i -> Tuple.values (List.assoc i.name assignment))
-         inputs)
+  (* The probe walk reuses its slot array, so each result copies it out
+     (slots are in declared input order, the output's column order). *)
+  let probe_from input_name tup =
+    let results = ref [] in
+    Probe.run_compiled (List.assoc input_name progs) tup ~emit:(fun asg ->
+        let values = List.concat_map Tuple.values (Array.to_list asg) in
+        results := Tuple.make out_schema values :: !results);
+    List.rev !results
   in
   (* Time windows are evicted before probing (a probe must only see the
      last [n] ticks); count windows after inserting (cap each state at its
@@ -85,12 +93,7 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
     | Element.Data tup ->
         stats := { !stats with tuples_in = !stats.tuples_in + 1 };
         (match window with Ticks _ -> evict_stale () | Count _ -> ());
-        let results =
-          Probe.run
-            ~steps:(List.assoc input_name orders)
-            ~state_of ~schema_of ~origin:input_name tup
-          |> List.map assemble
-        in
+        let results = probe_from input_name tup in
         (match window with
         | Ticks _ -> Join_state.insert ~tick:!now (state_of input_name) tup
         | Count _ ->
@@ -100,12 +103,11 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
           { !stats with tuples_out = !stats.tuples_out + List.length results };
         List.iter (fun t -> acc := Element.Data t :: !acc) results
   in
-  let push_batch arr =
+  let push arr =
     let acc = ref [] in
     Array.iter (process acc) arr;
     List.rev !acc
   in
-  let push element = push_batch [| element |] in
   (* Eviction only runs on data arrivals, but [now] advances on every
      element: trailing punctuations (or an idle tail) can leave tuples in
      the state that the window invariant already expired. A final eviction
@@ -144,7 +146,6 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
     out_schema;
     input_names = names;
     push;
-    push_batch;
     flush;
     data_state_size =
       (fun () ->

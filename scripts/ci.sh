@@ -519,7 +519,27 @@ MQ_ARGS="--query examples/star_rst.query --query examples/star_rsu.query --round
 mq_hashes() {
   grep '^query .* output hash ' "$1" | sed 's/ emitted [0-9]* results,//' | sort
 }
-dune exec bin/pstream_run.exe -- $MQ_ARGS > "$OBS_TMP/mq_shared.txt"
+# A run's report must answer what its stdout printed: every query's
+# (qid, emitted, hash) entry against its "query ... output hash" line.
+mq_report_answers() {
+  local report="$1" out="$2"
+  grep -o '"qid":"[^"]*","emitted":[0-9]*,"hash":"[0-9a-f]*"' "$report" \
+    | sed 's/"qid":"\([^"]*\)","emitted":\([0-9]*\),"hash":"\([0-9a-f]*\)"/query \1: emitted \2 results, output hash \3/' \
+    | sort > "$out.report_answers"
+  grep '^query .* output hash ' "$out" | sort > "$out.stdout_answers"
+  if [ ! -s "$out.stdout_answers" ] \
+    || ! cmp -s "$out.stdout_answers" "$out.report_answers"; then
+    echo "report $report does not carry the answers $out printed:" >&2
+    diff "$out.stdout_answers" "$out.report_answers" >&2 || true
+    exit 1
+  fi
+}
+dune exec bin/pstream_run.exe -- $MQ_ARGS \
+  --report "$OBS_TMP/mq_report.json" --trace "$OBS_TMP/mq_trace.jsonl" \
+  > "$OBS_TMP/mq_shared.txt"
+dune exec bin/pstream_obs.exe -- verify \
+  "$OBS_TMP/mq_report.json" "$OBS_TMP/mq_trace.jsonl" --expect-quiet
+mq_report_answers "$OBS_TMP/mq_report.json" "$OBS_TMP/mq_shared.txt"
 grep -q '^shared group G1: streams {R, S} serving star_rst, star_rsu' \
   "$OBS_TMP/mq_shared.txt" || {
   echo "multi-query plan did not share the {R, S} sub-join" >&2
@@ -559,6 +579,7 @@ if ! cmp -s "$OBS_TMP/mq_h_shared.txt" "$OBS_TMP/mq_h_mq_sh2.txt"; then
 fi
 dune exec bin/pstream_obs.exe -- verify \
   "$OBS_TMP/mq_sh_report.json" "$OBS_TMP/mq_sh_trace.jsonl" --expect-quiet
+mq_report_answers "$OBS_TMP/mq_sh_report.json" "$OBS_TMP/mq_sh2.txt"
 
 # Shard supervision covers multi-query fleets: a killed shard is restarted
 # and every query still answers the fault-free hash.

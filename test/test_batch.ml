@@ -5,10 +5,9 @@
      historical divergence: compare-keyed index buckets matched
      Null = Null while Predicate.eval rejected it) — sequential and
      sharded.
-   - The batched hot path (push_batch / Executor.run ~batch) is
-     output-equivalent to the element-at-a-time path over policies and
-     batch sizes: data output sequence, output multiset, final state and
-     metrics series.
+   - Cutting the input into longer runs (Executor.run ~batch) is
+     output-equivalent to runs of one over policies and run sizes: data
+     output sequence, output multiset, final state and metrics series.
    - The degrade-mode shedder evicts oldest-first by insertion tick.
    - Purge-round accounting: stats, registry counter and trace replay
      agree even for victim-less rounds. *)
@@ -120,19 +119,21 @@ let test_null_key_dead_on_arrival () =
         ]
       ~predicates:[ atom_a; atom_b ] ()
   in
-  let out = op.Operator.push (Element.Data (vtuple ta [ Value.Int 1; Value.Null ])) in
+  let out =
+    op.Operator.push [| Element.Data (vtuple ta [ Value.Int 1; Value.Null ]) |]
+  in
   check_int "no results from a null-keyed tuple" 0 (List.length out);
   check_int "never stored" 0 (op.Operator.data_state_size ());
   check_int "counted as purged" 1 (op.Operator.stats ()).Operator.tuples_purged;
   (* a later partner with the same values still finds nothing *)
   let out2 =
-    op.Operator.push (Element.Data (vtuple tb [ Value.Int 1; Value.Null ]))
+    op.Operator.push [| Element.Data (vtuple tb [ Value.Int 1; Value.Null ]) |]
   in
   check_int "Null = Null never matches" 0
     (List.length (List.filter Element.is_data out2))
 
 (* ------------------------------------------------------------------ *)
-(* Batched = element-at-a-time *)
+(* Long runs = runs of one *)
 
 let policies =
   [
@@ -142,44 +143,53 @@ let policies =
     ("never", Purge_policy.Never);
   ]
 
-let check_batch_equals_element ~ctx q plan trace policy b =
+(* Runs of one are the reference: computed once per (trace, policy), then
+   every longer cut must reproduce its data output sequence, multiset,
+   counts, final state and metrics series. *)
+let check_cuts_agree ~ctx q plan trace policy =
   let run ?batch () =
     let c = Executor.compile ~config:(Executor.Config.make ~policy ()) q plan in
     let r = Executor.run ~sample_every:50 ?batch c (List.to_seq trace) in
     (c, r)
   in
   let ce, re = run () in
-  let cb, rb = run ~batch:b () in
   let data r =
     List.filter_map
       (function Element.Data t -> Some (Tuple.to_string t) | _ -> None)
       r.Executor.outputs
   in
-  Alcotest.(check (list string))
-    (ctx ^ ": data output sequence")
-    (data re) (data rb);
-  check_string
-    (ctx ^ ": output multiset")
-    (Executor.output_hash re.Executor.outputs)
-    (Executor.output_hash rb.Executor.outputs);
-  check_int (ctx ^ ": consumed") re.Executor.consumed rb.Executor.consumed;
-  check_int (ctx ^ ": emitted") re.Executor.emitted rb.Executor.emitted;
-  check_int
-    (ctx ^ ": final data state")
-    (Executor.total_data_state ce)
-    (Executor.total_data_state cb);
-  check_int
-    (ctx ^ ": final index state")
-    (Executor.total_index_state ce)
-    (Executor.total_index_state cb);
-  check_int
-    (ctx ^ ": final punct state")
-    (Executor.total_punct_state ce)
-    (Executor.total_punct_state cb);
-  check_bool
-    (ctx ^ ": metrics series")
-    true
-    (Metrics.equal re.Executor.metrics rb.Executor.metrics)
+  let ref_data = data re
+  and ref_hash = Executor.output_hash re.Executor.outputs in
+  List.iter
+    (fun b ->
+      let ctx = Printf.sprintf "%s/b=%d" ctx b in
+      let cb, rb = run ~batch:b () in
+      Alcotest.(check (list string))
+        (ctx ^ ": data output sequence")
+        ref_data (data rb);
+      check_string
+        (ctx ^ ": output multiset")
+        ref_hash
+        (Executor.output_hash rb.Executor.outputs);
+      check_int (ctx ^ ": consumed") re.Executor.consumed rb.Executor.consumed;
+      check_int (ctx ^ ": emitted") re.Executor.emitted rb.Executor.emitted;
+      check_int
+        (ctx ^ ": final data state")
+        (Executor.total_data_state ce)
+        (Executor.total_data_state cb);
+      check_int
+        (ctx ^ ": final index state")
+        (Executor.total_index_state ce)
+        (Executor.total_index_state cb);
+      check_int
+        (ctx ^ ": final punct state")
+        (Executor.total_punct_state ce)
+        (Executor.total_punct_state cb);
+      check_bool
+        (ctx ^ ": metrics series")
+        true
+        (Metrics.equal re.Executor.metrics rb.Executor.metrics))
+    [ 7; 64 ]
 
 let test_batch_equals_element_round_trace () =
   let q = fig5_query () in
@@ -189,12 +199,8 @@ let test_batch_equals_element_round_trace () =
   in
   List.iter
     (fun (pname, policy) ->
-      List.iter
-        (fun b ->
-          check_batch_equals_element
-            ~ctx:(Printf.sprintf "fig5/%s/b=%d" pname b)
-            q plan3 trace policy b)
-        [ 1; 7; 64 ])
+      check_cuts_agree ~ctx:(Printf.sprintf "fig5/%s" pname) q plan3 trace
+        policy)
     policies
 
 let test_batch_equals_element_random_traces () =
@@ -208,19 +214,15 @@ let test_batch_equals_element_random_traces () =
       in
       List.iter
         (fun (pname, policy) ->
-          List.iter
-            (fun b ->
-              check_batch_equals_element
-                ~ctx:(Printf.sprintf "chain3/seed=%d/%s/b=%d" seed pname b)
-                q plan trace policy b)
-            [ 1; 7; 64 ])
+          check_cuts_agree
+            ~ctx:(Printf.sprintf "chain3/seed=%d/%s" seed pname)
+            q plan trace policy)
         policies)
     [ 1; 2; 3 ]
 
 let test_batch_and_shards_agree () =
-  (* The sharded workers drive their operators through the same batched
-     path; the answer must be the sequential element-path answer at every
-     shard count. *)
+  (* The sharded workers drive their operators in long runs; the answer
+     must be the sequential runs-of-one answer at every shard count. *)
   let q = fig5_query () in
   let trace =
     Synth.round_trace q
@@ -274,7 +276,7 @@ let test_shedder_sheds_oldest_first () =
   let budget =
     let op = Mjoin.create ~policy:Purge_policy.Never ~inputs ~predicates:preds () in
     for i = 0 to n - 1 do
-      ignore (op.Operator.push (Element.Data (tuple ta [ i; i ])))
+      ignore (op.Operator.push [| Element.Data (tuple ta [ i; i ]) |])
     done;
     op.Operator.state_bytes () / 2
   in
@@ -291,7 +293,7 @@ let test_shedder_sheds_oldest_first () =
       ~predicates:preds ()
   in
   for i = 0 to n - 1 do
-    ignore (op.Operator.push (Element.Data (tuple ta [ i; i ])))
+    ignore (op.Operator.push [| Element.Data (tuple ta [ i; i ]) |])
   done;
   let shed =
     Contract.enforce_budget ct ~telemetry:Telemetry.null ~tick:n
@@ -304,7 +306,7 @@ let test_shedder_sheds_oldest_first () =
   (* probe every key: exactly the newest [survivors] keys may still match *)
   List.iter
     (fun i ->
-      let out = op.Operator.push (Element.Data (tuple tb [ i; 0 ])) in
+      let out = op.Operator.push [| Element.Data (tuple tb [ i; 0 ]) |] in
       let hit = List.exists Element.is_data out in
       check_bool
         (Printf.sprintf "key %d %s" i

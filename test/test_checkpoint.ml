@@ -99,13 +99,17 @@ let stats_strings (op : Operator.t) =
     (fun (k, v) -> Fmt.str "%s=%d" k v)
     (Operator.stats_to_alist (op.Operator.stats ()))
 
+(* Feed a list element by element, as runs of one. *)
+let push_each (op : Operator.t) =
+  List.concat_map (fun e -> op.Operator.push [| e |])
+
 (* The defining property of a snapshot: load the blob into a freshly
    constructed twin, feed both the same continuation, and outputs, stats
    and state must be indistinguishable. *)
 let check_twin_continuation name (op : Operator.t) (twin : Operator.t) suffix =
   load_into twin (blob_of op);
-  let o1 = List.concat_map op.Operator.push suffix @ op.Operator.flush () in
-  let o2 = List.concat_map twin.Operator.push suffix @ twin.Operator.flush () in
+  let o1 = push_each op suffix @ op.Operator.flush () in
+  let o2 = push_each twin suffix @ twin.Operator.flush () in
   Alcotest.(check (list string))
     (name ^ ": continuation outputs agree")
     (render o1) (render o2);
@@ -134,7 +138,7 @@ let test_mjoin_snapshot_continuation () =
   let root c = List.hd (Executor.operators ~c) in
   let op = root (Executor.compile q plan3) in
   let twin = root (Executor.compile q plan3) in
-  let mid_outputs = List.concat_map op.Operator.push prefix in
+  let mid_outputs = push_each op prefix in
   check_bool "prefix produced results" true
     (List.exists Element.is_data mid_outputs);
   check_bool "snapshot taken with live state" true
@@ -151,7 +155,7 @@ let test_dedup_snapshot_continuation () =
     (* 7 was purged by the punctuation (re-admittable), 8 is still seen *)
     [ data s1 [ 3; 8 ]; data s1 [ 4; 9 ]; data s1 [ 5; 9 ] ]
   in
-  ignore (List.concat_map op.Operator.push prefix);
+  ignore (push_each op prefix);
   check_twin_continuation "dedup" op (mk ()) suffix
 
 let test_groupby_snapshot_continuation () =
@@ -164,12 +168,12 @@ let test_groupby_snapshot_continuation () =
     (* closing A=1 must emit the accumulated 13 + 4 = 17 from both *)
     [ data s1 [ 1; 4 ]; punct s1 [ ("A", 1) ]; punct s1 [ ("A", 2) ] ]
   in
-  ignore (List.concat_map op.Operator.push prefix);
+  ignore (push_each op prefix);
   check_twin_continuation "groupby" op (mk ()) suffix
 
 let test_corrupt_blob_rejected () =
   let op = Dedup.create ~input:s1 ~key:[ "B" ] () in
-  ignore (op.Operator.push (data s1 [ 1; 7 ]));
+  ignore (op.Operator.push [| data s1 [ 1; 7 ] |]);
   let blob = blob_of op in
   let twin () = Dedup.create ~input:s1 ~key:[ "B" ] () in
   expect_corrupt "wrong version byte" (fun () ->

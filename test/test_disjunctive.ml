@@ -129,30 +129,30 @@ let djoin ?policy () =
 
 let test_runtime_matches_either_disjunct () =
   let op = djoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple t1 [ 1; 2 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple t1 [ 1; 2 ]) |]);
   (* matches via x = a *)
   check_int "via first disjunct" 1
-    (List.length (op.Engine.Operator.push (Element.Data (tuple t2 [ 1; 99 ]))));
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple t2 [ 1; 99 ]) |]));
   (* matches via y = b *)
   check_int "via second disjunct" 1
-    (List.length (op.Engine.Operator.push (Element.Data (tuple t2 [ 98; 2 ]))));
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple t2 [ 98; 2 ]) |]));
   (* matches via both disjuncts: still exactly one output *)
   check_int "both disjuncts, one output" 1
-    (List.length (op.Engine.Operator.push (Element.Data (tuple t2 [ 1; 2 ]))));
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple t2 [ 1; 2 ]) |]));
   check_int "no match" 0
-    (List.length (op.Engine.Operator.push (Element.Data (tuple t2 [ 50; 51 ]))))
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple t2 [ 50; 51 ]) |]))
 
 let test_runtime_purge_needs_every_disjunct () =
   let op = djoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple t1 [ 1; 2 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple t1 [ 1; 2 ]) |]);
   (* ruling out x=1 alone is not enough: y=2 could still arrive *)
   ignore
     (op.Engine.Operator.push
-       (Element.Punct (Punctuation.of_bindings t2 [ ("x", Value.Int 1) ])));
+       [| Element.Punct (Punctuation.of_bindings t2 [ ("x", Value.Int 1) ]) |]);
   check_int "still stored" 1 (op.Engine.Operator.data_state_size ());
   ignore
     (op.Engine.Operator.push
-       (Element.Punct (Punctuation.of_bindings t2 [ ("y", Value.Int 2) ])));
+       [| Element.Punct (Punctuation.of_bindings t2 [ ("y", Value.Int 2) ]) |]);
   check_int "dead once both disjuncts ruled out" 0
     (op.Engine.Operator.data_state_size ())
 
@@ -196,7 +196,7 @@ let test_runtime_equals_brute_force () =
       (fun e ->
         List.iter
           (fun out -> if Element.is_data out then incr found)
-          (op.Engine.Operator.push e))
+          (op.Engine.Operator.push [| e |]))
       trace;
     check_int (Printf.sprintf "seed %d" seed) expected !found
   done
@@ -205,14 +205,14 @@ let test_runtime_bounded_on_rounds () =
   let op = djoin () in
   let peak = ref 0 in
   for k = 1 to 200 do
-    ignore (op.Engine.Operator.push (Element.Data (tuple t1 [ k; k ])));
-    ignore (op.Engine.Operator.push (Element.Data (tuple t2 [ k; k ])));
+    ignore (op.Engine.Operator.push [| Element.Data (tuple t1 [ k; k ]) |]);
+    ignore (op.Engine.Operator.push [| Element.Data (tuple t2 [ k; k ]) |]);
     List.iter
       (fun (schema, attr) ->
         ignore
           (op.Engine.Operator.push
-             (Element.Punct
-                (Punctuation.of_bindings schema [ (attr, Value.Int k) ]))))
+             [| Element.Punct
+                (Punctuation.of_bindings schema [ (attr, Value.Int k) ]) |]))
       [ (t1, "a"); (t1, "b"); (t2, "x"); (t2, "y") ];
     peak := max !peak (op.Engine.Operator.data_state_size ())
   done;

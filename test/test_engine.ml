@@ -354,8 +354,8 @@ let binary_mjoin () =
 let test_binary_join_matches () =
   let op = binary_mjoin () in
   check_int "no early match" 0
-    (List.length (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ]))));
-  let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 100 ])) in
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]));
+  let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 100 ]) |] in
   check_int "one match" 1 (List.length out);
   (match out with
   | [ Element.Data t ] ->
@@ -367,18 +367,18 @@ let test_binary_join_matches () =
 
 let test_binary_join_purges_opposite () =
   let op = binary_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 2; 8 ])));
-  ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 2; 8 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 7) ]) |]);
   check_int "one left" 1 (op.Engine.Operator.data_state_size ());
   check_int "purged count" 1 (op.Engine.Operator.stats ()).Engine.Operator.tuples_purged
 
 let test_binary_join_never_loses_results () =
   let op = binary_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
-  ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 2; 8 ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 8; 5 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 7) ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 2; 8 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 8; 5 ]) |] in
   check_int "late match found" 1
     (List.length (List.filter Element.is_data out))
 
@@ -388,9 +388,9 @@ let test_binary_join_drops_dead_on_arrival () =
      it sits in state until the next punctuation's round — bench T1's
      peak) *)
   let op = binary_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 100 ])));
-  ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 100 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 7) ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |] in
   check_int "still emits its matches" 1
     (List.length (List.filter Element.is_data out));
   (* only the S2 tuple remains; the dead S1 arrival was never stored *)
@@ -400,7 +400,7 @@ let test_binary_join_drops_dead_on_arrival () =
 
 let test_binary_join_propagates_drained_punct () =
   let op = binary_mjoin () in
-  let out = op.Engine.Operator.push (Element.Punct (punct s1 [ ("B", 7) ])) in
+  let out = op.Engine.Operator.push [| Element.Punct (punct s1 [ ("B", 7) ]) |] in
   let puncts = List.filter Element.is_punct out in
   check_int "propagated immediately when no matching state" 1 (List.length puncts);
   match puncts with
@@ -412,11 +412,11 @@ let test_binary_join_propagates_drained_punct () =
 
 let test_binary_join_delays_punct_until_drained () =
   let op = binary_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
-  let out = op.Engine.Operator.push (Element.Punct (punct s1 [ ("B", 7) ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Punct (punct s1 [ ("B", 7) ]) |] in
   check_int "not yet propagated" 0
     (List.length (List.filter Element.is_punct out));
-  let out2 = op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 7) ])) in
+  let out2 = op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 7) ]) |] in
   check_int "both propagate after drain" 2
     (List.length (List.filter Element.is_punct out2))
 
@@ -439,9 +439,9 @@ let fig5_mjoin ?policy () =
 
 let test_mjoin_three_way_match () =
   let op = fig5_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 2 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 2; 3 ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s3 [ 3; 1 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 2 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 2; 3 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s3 [ 3; 1 ]) |] in
   check_int "full match" 1 (List.length (List.filter Element.is_data out));
   match List.filter Element.is_data out with
   | [ Element.Data t ] ->
@@ -454,9 +454,9 @@ let test_mjoin_three_way_match () =
 
 let test_mjoin_respects_all_predicates () =
   let op = fig5_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 2 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 2; 3 ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s3 [ 3; 99 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 2 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 2; 3 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s3 [ 3; 99 ]) |] in
   check_int "triangle must close" 0
     (List.length (List.filter Element.is_data out))
 
@@ -478,13 +478,13 @@ let test_mjoin_purge_plans () =
 
 let test_mjoin_chained_purge_runtime () =
   let op = fig5_mjoin () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 2 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 2 ]) |]);
   check_int "stored" 1 (op.Engine.Operator.data_state_size ());
   (* S2's punctuation alone leaves the chain open through S3 *)
-  ignore (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 2) ])));
+  ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 2) ]) |]);
   check_int "still stored" 1 (op.Engine.Operator.data_state_size ());
   (* S3's punctuation on A=1 completes the chain for the S1 tuple *)
-  ignore (op.Engine.Operator.push (Element.Punct (punct s3 [ ("A", 1) ])));
+  ignore (op.Engine.Operator.push [| Element.Punct (punct s3 [ ("A", 1) ]) |]);
   check_int "purged once chain covered" 0 (op.Engine.Operator.data_state_size ())
 
 let count_data outputs = List.length (List.filter Element.is_data outputs)
@@ -532,9 +532,9 @@ let test_mjoin_unknown_input_rejected () =
     (Invalid_argument "Mjoin mjoin: element for unknown input bid") (fun () ->
       ignore
         (op.Engine.Operator.push
-           (Element.Data
+           [| Element.Data
               (Tuple.make Workload.Auction.bid_schema
-                 [ Value.Int 1; Value.Int 2; Value.Float 1.0 ]))))
+                 [ Value.Int 1; Value.Int 2; Value.Float 1.0 ]) |]))
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence properties *)
@@ -598,10 +598,10 @@ let test_groupby_blocks_until_punctuation () =
     Groupby.create ~input:s2 ~group_by:[ "B" ] ~aggregate:(Groupby.Sum "C") ()
   in
   check_int "no output yet" 0
-    (List.length (op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 10 ]))));
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 10 ]) |]));
   check_int "accumulating" 0
-    (List.length (op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 5 ]))));
-  let out = op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 1) ])) in
+    (List.length (op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 5 ]) |]));
+  let out = op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 1) ]) |] in
   (match List.filter Element.is_data out with
   | [ Element.Data t ] ->
       check_bool "sum emitted" true (Tuple.get_named t "agg" = Value.Int 15)
@@ -612,11 +612,11 @@ let test_groupby_blocks_until_punctuation () =
 let test_groupby_count_min_max () =
   let feed aggregate =
     let op = Groupby.create ~input:s2 ~group_by:[ "B" ] ~aggregate () in
-    ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 10 ])));
-    ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 4 ])));
+    ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 10 ]) |]);
+    ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 4 ]) |]);
     match
       List.filter Element.is_data
-        (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 1) ])))
+        (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 1) ]) |])
     with
     | [ Element.Data t ] -> Tuple.get_named t "agg"
     | _ -> Alcotest.fail "expected one group"
@@ -627,9 +627,9 @@ let test_groupby_count_min_max () =
 
 let test_groupby_punct_covers_only_its_groups () =
   let op = Groupby.create ~input:s2 ~group_by:[ "B" ] ~aggregate:Groupby.Count () in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 10 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 2; 10 ])));
-  let out = op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 1) ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 10 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 2; 10 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 1) ]) |] in
   check_int "one group emitted" 1 (List.length (List.filter Element.is_data out));
   check_int "one group left" 1 (op.Engine.Operator.data_state_size ())
 
@@ -643,13 +643,13 @@ let test_groupby_rejects_non_numeric () =
 
 let test_project_tuples_and_puncts () =
   let op = Project.create ~input:s2 ~keep:[ "C" ] () in
-  (match op.Engine.Operator.push (Element.Data (tuple s2 [ 1; 10 ])) with
+  (match op.Engine.Operator.push [| Element.Data (tuple s2 [ 1; 10 ]) |] with
   | [ Element.Data t ] -> check_int "narrowed" 1 (Tuple.arity t)
   | _ -> Alcotest.fail "expected tuple");
   check_int "punct on kept attr survives" 1
-    (List.length (op.Engine.Operator.push (Element.Punct (punct s2 [ ("C", 10) ]))));
+    (List.length (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("C", 10) ]) |]));
   check_int "punct on dropped attr vanishes" 0
-    (List.length (op.Engine.Operator.push (Element.Punct (punct s2 [ ("B", 1) ]))))
+    (List.length (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 1) ]) |]))
 
 (* ------------------------------------------------------------------ *)
 (* Executor *)
@@ -1078,7 +1078,7 @@ let prop_incremental_purge_matches_full_scan =
       List.for_all
         (fun e ->
           step
-            (fun () -> ignore (op.Engine.Operator.push e))
+            (fun () -> ignore (op.Engine.Operator.push [| e |]))
             (fun round ->
               match e with
               | Element.Data tup ->

@@ -276,8 +276,8 @@ let test_window_join_matches_within_window () =
     Window_join.create ~window:(Window_join.Count 2) ~inputs:(window_inputs ())
       ~predicates:bin_preds ()
   in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 9 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 9 ]) |] in
   check_int "match inside window" 1 (List.length out)
 
 let test_window_join_misses_evicted () =
@@ -285,10 +285,10 @@ let test_window_join_misses_evicted () =
     Window_join.create ~window:(Window_join.Count 1) ~inputs:(window_inputs ())
       ~predicates:bin_preds ()
   in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
   (* a second S1 tuple evicts the first (count window of 1) *)
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 2; 8 ])));
-  let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 9 ])) in
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 2; 8 ]) |]);
+  let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 9 ]) |] in
   check_int "evicted partner missed" 0 (List.length out);
   check_int "state bounded" 2 (op.Engine.Operator.data_state_size ())
 
@@ -297,11 +297,11 @@ let test_window_join_tick_eviction () =
     Window_join.create ~window:(Window_join.Ticks 2) ~inputs:(window_inputs ())
       ~predicates:bin_preds ()
   in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 99; 0 ])));
-  ignore (op.Engine.Operator.push (Element.Data (tuple s2 [ 98; 0 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 99; 0 ]) |]);
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 98; 0 ]) |]);
   (* the S1 tuple is now 3 ticks old and evicted *)
-  let out = op.Engine.Operator.push (Element.Data (tuple s2 [ 7; 9 ])) in
+  let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 9 ]) |] in
   check_int "expired partner missed" 0 (List.length out)
 
 let test_window_join_ignores_punctuations () =
@@ -309,10 +309,10 @@ let test_window_join_ignores_punctuations () =
     Window_join.create ~window:(Window_join.Count 10) ~inputs:(window_inputs ())
       ~predicates:bin_preds ()
   in
-  ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ 1; 7 ])));
+  ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
   let out =
     op.Engine.Operator.push
-      (Element.Punct (Punctuation.of_bindings s2 [ ("B", vi 7) ]))
+      [| Element.Punct (Punctuation.of_bindings s2 [ ("B", vi 7) ]) |]
   in
   check_int "no output" 0 (List.length out);
   check_int "nothing purged" 1 (op.Engine.Operator.data_state_size ())
@@ -352,7 +352,7 @@ let test_window_vs_punctuation_on_auction () =
     (fun e ->
       List.iter
         (fun out -> if Element.is_data out then incr found)
-        (wj.Engine.Operator.push e))
+        (wj.Engine.Operator.push [| e |]))
     trace;
   check_bool "window join bounded" true (wj.Engine.Operator.data_state_size () <= 40);
   check_bool "window join lossy" true (!found < exact)

@@ -343,7 +343,7 @@ let test_shared_fanout_delivers_eagerly () =
     List.map
       (fun (qid, outs) ->
         (qid, List.length (List.filter Element.is_data outs)))
-      (Multi_executor.feed_element m e)
+      (Multi_executor.feed_batch m [| e |])
   in
   check_bool "R alone: silence" true (emitted_for (data "R" [ "K"; "A" ]) = []);
   check_bool "S alone: sub-join stays internal" true
@@ -367,7 +367,7 @@ let test_shared_state_is_lower () =
   in
   let fill share =
     let m = Multi_executor.create ~share reg in
-    List.iter (fun e -> ignore (Multi_executor.feed_element m e)) no_punct_trace;
+    List.iter (fun e -> ignore (Multi_executor.feed_batch m [| e |])) no_punct_trace;
     m
   in
   let shared = fill true and indep = fill false in
@@ -442,6 +442,31 @@ let test_sharded_run_trace_verifies () =
   | Ok () -> ()
   | Error ps ->
       Alcotest.failf "verify failed:@.%a" Fmt.(list ~sep:cut string) ps
+
+(* A sharded report answers like the sequential one: the same per-query
+   (qid, emitted, hash) entries and the same shared groups. *)
+let test_sharded_report_carries_answers () =
+  let reg = star_registry () in
+  let trace = Synth.round_trace_defs (union_defs reg) trace_config in
+  let m = Multi_executor.create reg in
+  let seq =
+    Multi_executor.report m (Multi_executor.run m (List.to_seq trace))
+  in
+  let p = Parallel_executor.create_multi ~shards:2 reg in
+  let sharded =
+    Parallel_executor.report p (Parallel_executor.run p (List.to_seq trace))
+  in
+  let entry key (r : Obs.Report.t) =
+    Option.map Obs.Json.to_string (List.assoc_opt key r.Obs.Report.meta)
+  in
+  check_bool "sequential report lists both queries" true
+    (match List.assoc_opt "queries" seq.Obs.Report.meta with
+    | Some (Obs.Json.List qs) -> List.length qs = 2
+    | _ -> false);
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) key (entry key seq) (entry key sharded))
+    [ "queries"; "shared_groups" ]
 
 (* ------------------------------------------------------------------ *)
 (* The multi-query fleet *)
@@ -576,6 +601,8 @@ let () =
             test_shared_run_trace_verifies;
           Alcotest.test_case "sharded-run trace verifies" `Quick
             test_sharded_run_trace_verifies;
+          Alcotest.test_case "sharded report carries the answers" `Quick
+            test_sharded_report_carries_answers;
         ] );
       ( "sharded",
         [

@@ -364,7 +364,6 @@ let test_emitted_counted_post_sink () =
       out_schema;
       input_names = [];
       push = (fun _ -> []);
-      push_batch = (fun _ -> []);
       flush = (fun () -> []);
       data_state_size = (fun () -> 0);
       punct_state_size = (fun () -> 0);
@@ -531,7 +530,7 @@ let test_window_evict_events () =
       ()
   in
   for i = 1 to 20 do
-    ignore (op.Engine.Operator.push (Element.Data (tuple s1 [ i; i ])))
+    ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ i; i ]) |])
   done;
   let evicted =
     List.fold_left

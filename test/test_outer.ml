@@ -39,7 +39,7 @@ let outer semantics =
 
 let anti () = outer Outer_join.Anti
 
-let push (op : Engine.Operator.t) e = op.Engine.Operator.push e
+let push (op : Engine.Operator.t) e = op.Engine.Operator.push [| e |]
 let flush (op : Engine.Operator.t) = op.Engine.Operator.flush ()
 let stats (op : Engine.Operator.t) = op.Engine.Operator.stats ()
 
@@ -250,8 +250,7 @@ let test_outer_holds_punct_while_store_matches () =
     (List.length (punct_out o2))
 
 (* ------------------------------------------------------------------ *)
-(* Properties: batch = element-at-a-time, for every operator the PR
-   touches. *)
+(* Properties: one long run = runs of one, for every outer-join kind. *)
 
 let chain2_query () =
   let defs =
@@ -297,7 +296,7 @@ let prop_batch_equals_element () =
           in
           let batched = mk () in
           let out_batched =
-            batched.Engine.Operator.push_batch (Array.of_list trace)
+            batched.Engine.Operator.push (Array.of_list trace)
             @ flush batched
           in
           Alcotest.(check (list string))

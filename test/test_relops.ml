@@ -57,11 +57,11 @@ let test_select_operator () =
       ()
   in
   check_int "filtered out" 0
-    (List.length (op.Engine.Operator.push (data s1 [ 1; 5 ])));
+    (List.length (op.Engine.Operator.push [| data s1 [ 1; 5 ] |]));
   check_int "passes" 1
-    (List.length (op.Engine.Operator.push (data s1 [ 1; 15 ])));
+    (List.length (op.Engine.Operator.push [| data s1 [ 1; 15 ] |]));
   check_int "punctuation passes through" 1
-    (List.length (op.Engine.Operator.push (punct s1 [ ("B", 5) ])));
+    (List.length (op.Engine.Operator.push [| punct s1 [ ("B", 5) ] |]));
   check_int "stateless" 0 (op.Engine.Operator.data_state_size ())
 
 let test_select_unknown_attr () =
@@ -77,26 +77,26 @@ let test_select_unknown_attr () =
 
 let test_dedup_suppresses_duplicates () =
   let op = Dedup.create ~input:s1 ~key:[ "B" ] () in
-  check_int "first" 1 (List.length (op.Engine.Operator.push (data s1 [ 1; 7 ])));
+  check_int "first" 1 (List.length (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]));
   check_int "duplicate key" 0
-    (List.length (op.Engine.Operator.push (data s1 [ 2; 7 ])));
-  check_int "new key" 1 (List.length (op.Engine.Operator.push (data s1 [ 1; 8 ])));
+    (List.length (op.Engine.Operator.push [| data s1 [ 2; 7 ] |]));
+  check_int "new key" 1 (List.length (op.Engine.Operator.push [| data s1 [ 1; 8 ] |]));
   check_int "two keys remembered" 2 (op.Engine.Operator.data_state_size ())
 
 let test_dedup_purges_on_punctuation () =
   let op = Dedup.create ~input:s1 ~key:[ "B" ] () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 7 ]));
-  ignore (op.Engine.Operator.push (data s1 [ 1; 8 ]));
-  let out = op.Engine.Operator.push (punct s1 [ ("B", 7) ]) in
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]);
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 8 ] |]);
+  let out = op.Engine.Operator.push [| punct s1 [ ("B", 7) ] |] in
   check_int "punct forwarded" 1 (List.length out);
   check_int "covered key dropped" 1 (op.Engine.Operator.data_state_size ());
   (* a watermark drops every key below it *)
   let op2 = Dedup.create ~input:s1 ~key:[ "B" ] () in
-  ignore (op2.Engine.Operator.push (data s1 [ 1; 7 ]));
-  ignore (op2.Engine.Operator.push (data s1 [ 1; 8 ]));
+  ignore (op2.Engine.Operator.push [| data s1 [ 1; 7 ] |]);
+  ignore (op2.Engine.Operator.push [| data s1 [ 1; 8 ] |]);
   ignore
     (op2.Engine.Operator.push
-       (Element.Punct (Punctuation.watermark s1 "B" (vi 8))));
+       [| Element.Punct (Punctuation.watermark s1 "B" (vi 8)) |]);
   check_int "watermark purges below" 1 (op2.Engine.Operator.data_state_size ())
 
 let test_dedup_purgeable_analysis () =
@@ -125,7 +125,7 @@ let test_dedup_bounded_on_round_trace () =
   List.iter
     (fun e ->
       if Element.stream_name e = "item" then begin
-        ignore (op.Engine.Operator.push e);
+        ignore (op.Engine.Operator.push [| e |]);
         peak := max !peak (op.Engine.Operator.data_state_size ())
       end)
     (Workload.Auction.trace cfg);
@@ -136,12 +136,12 @@ let test_dedup_bounded_on_round_trace () =
 
 let test_sort_blocks_until_watermark () =
   let op = Sort.create ~input:s1 ~by:"B" () in
-  check_int "buffers" 0 (List.length (op.Engine.Operator.push (data s1 [ 1; 9 ])));
+  check_int "buffers" 0 (List.length (op.Engine.Operator.push [| data s1 [ 1; 9 ] |]));
   check_int "buffers more" 0
-    (List.length (op.Engine.Operator.push (data s1 [ 2; 3 ])));
-  ignore (op.Engine.Operator.push (data s1 [ 3; 6 ]));
+    (List.length (op.Engine.Operator.push [| data s1 [ 2; 3 ] |]));
+  ignore (op.Engine.Operator.push [| data s1 [ 3; 6 ] |]);
   let out =
-    op.Engine.Operator.push (Element.Punct (Punctuation.watermark s1 "B" (vi 7)))
+    op.Engine.Operator.push [| Element.Punct (Punctuation.watermark s1 "B" (vi 7)) |]
   in
   Alcotest.(check (list (testable Value.pp ( = ))))
     "below the watermark, in order"
@@ -153,10 +153,10 @@ let test_sort_blocks_until_watermark () =
 
 let test_sort_stable_on_ties () =
   let op = Sort.create ~input:s1 ~by:"B" () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 5 ]));
-  ignore (op.Engine.Operator.push (data s1 [ 2; 5 ]));
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 5 ] |]);
+  ignore (op.Engine.Operator.push [| data s1 [ 2; 5 ] |]);
   let out =
-    op.Engine.Operator.push (Element.Punct (Punctuation.watermark s1 "B" (vi 6)))
+    op.Engine.Operator.push [| Element.Punct (Punctuation.watermark s1 "B" (vi 6)) |]
   in
   Alcotest.(check (list (testable Value.pp ( = ))))
     "arrival order preserved on equal keys"
@@ -165,8 +165,8 @@ let test_sort_stable_on_ties () =
 
 let test_sort_equality_punct_releases_nothing () =
   let op = Sort.create ~input:s1 ~by:"B" () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 5 ]));
-  let out = op.Engine.Operator.push (punct s1 [ ("B", 5) ]) in
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 5 ] |]);
+  let out = op.Engine.Operator.push [| punct s1 [ ("B", 5) ] |] in
   check_int "no release" 0 (List.length (List.filter Element.is_data out));
   check_int "punct still forwarded" 1
     (List.length (List.filter Element.is_punct out))
@@ -174,7 +174,7 @@ let test_sort_equality_punct_releases_nothing () =
 let test_sort_flush_drains_in_order () =
   let op = Sort.create ~input:s1 ~by:"B" () in
   List.iter
-    (fun b -> ignore (op.Engine.Operator.push (data s1 [ b; b ])))
+    (fun b -> ignore (op.Engine.Operator.push [| data s1 [ b; b ] |]))
     [ 9; 2; 7; 4 ];
   let out = op.Engine.Operator.flush () in
   Alcotest.(check (list (testable Value.pp ( = ))))
@@ -198,7 +198,7 @@ let test_sort_end_to_end_with_orders () =
             match out with
             | Element.Data t -> emitted := Tuple.get_named t "order_id" :: !emitted
             | Element.Punct _ -> ())
-          (op.Engine.Operator.push e);
+          (op.Engine.Operator.push [| e |]);
         peak := max !peak (op.Engine.Operator.data_state_size ())
       end)
     (Workload.Orders.trace cfg);
@@ -221,9 +221,9 @@ let s1b = int_schema "S1b" [ "A"; "B" ]
 let test_union_tuples_pass_through () =
   let op = Engine.Union.create ~left:s1 ~right:s1b () in
   check_int "left tuple out" 1
-    (List.length (op.Engine.Operator.push (data s1 [ 1; 2 ])));
+    (List.length (op.Engine.Operator.push [| data s1 [ 1; 2 ] |]));
   check_int "right tuple out" 1
-    (List.length (op.Engine.Operator.push (data s1b [ 3; 4 ])))
+    (List.length (op.Engine.Operator.push [| data s1b [ 3; 4 ] |]))
 
 let test_union_requires_matching_shapes () =
   match Engine.Union.create ~left:s1 ~right:s2 () with
@@ -233,9 +233,9 @@ let test_union_requires_matching_shapes () =
 let test_union_holds_one_sided_punctuation () =
   let op = Engine.Union.create ~left:s1 ~right:s1b () in
   check_int "one-sided guarantee held" 0
-    (List.length (op.Engine.Operator.push (punct s1 [ ("B", 7) ])));
+    (List.length (op.Engine.Operator.push [| punct s1 [ ("B", 7) ] |]));
   (* once the other side punctuates the same value, it is released *)
-  let out = op.Engine.Operator.push (punct s1b [ ("B", 7) ]) in
+  let out = op.Engine.Operator.push [| punct s1b [ ("B", 7) ] |] in
   check_int "released when both sides agree" 1 (List.length out)
 
 let test_union_watermark_min_rule () =
@@ -243,11 +243,11 @@ let test_union_watermark_min_rule () =
   check_int "first watermark held" 0
     (List.length
        (op.Engine.Operator.push
-          (Element.Punct (Punctuation.watermark s1 "B" (vi 10)))));
+          [| Element.Punct (Punctuation.watermark s1 "B" (vi 10)) |]));
   (* right advances to 20: only min(10, 20) = 10 may be emitted *)
   let out =
     op.Engine.Operator.push
-      (Element.Punct (Punctuation.watermark s1b "B" (vi 20)))
+      [| Element.Punct (Punctuation.watermark s1b "B" (vi 20)) |]
   in
   (match out with
   | [ Element.Punct p ] ->
@@ -259,7 +259,7 @@ let test_union_watermark_min_rule () =
   (* left advances to 30: now the held 20 is emittable *)
   let out2 =
     op.Engine.Operator.push
-      (Element.Punct (Punctuation.watermark s1 "B" (vi 30)))
+      [| Element.Punct (Punctuation.watermark s1 "B" (vi 30)) |]
   in
   (match out2 with
   | [ Element.Punct p ] ->
@@ -284,23 +284,23 @@ let anti () =
 let test_antijoin_blocks_without_punctuation () =
   let op = anti () in
   check_int "no emission on arrival" 0
-    (List.length (op.Engine.Operator.push (data s1 [ 1; 7 ])));
+    (List.length (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]));
   check_int "buffered" 1 (op.Engine.Operator.data_state_size ())
 
 let test_antijoin_match_disqualifies () =
   let op = anti () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 7 ]));
-  ignore (op.Engine.Operator.push (data s2 [ 7; 0 ]));
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]);
+  ignore (op.Engine.Operator.push [| data s2 [ 7; 0 ] |]);
   (* the punctuation can no longer release the matched tuple *)
-  let out = op.Engine.Operator.push (punct s2 [ ("B", 7) ]) in
+  let out = op.Engine.Operator.push [| punct s2 [ ("B", 7) ] |] in
   check_int "no anti-result" 0 (List.length (List.filter Element.is_data out))
 
 let test_antijoin_punctuation_releases () =
   let op = anti () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 7 ]));
-  ignore (op.Engine.Operator.push (data s1 [ 2; 8 ]));
-  ignore (op.Engine.Operator.push (data s2 [ 8; 0 ]));
-  let out = op.Engine.Operator.push (punct s2 [ ("B", 7) ]) in
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]);
+  ignore (op.Engine.Operator.push [| data s1 [ 2; 8 ] |]);
+  ignore (op.Engine.Operator.push [| data s2 [ 8; 0 ] |]);
+  let out = op.Engine.Operator.push [| punct s2 [ ("B", 7) ] |] in
   (match List.filter Element.is_data out with
   | [ Element.Data t ] ->
       check_bool "the matchless tuple" true (Tuple.get_named t "A" = vi 1)
@@ -310,28 +310,28 @@ let test_antijoin_punctuation_releases () =
 
 let test_antijoin_immediate_when_preproven () =
   let op = anti () in
-  ignore (op.Engine.Operator.push (punct s2 [ ("B", 7) ]));
-  let out = op.Engine.Operator.push (data s1 [ 1; 7 ]) in
+  ignore (op.Engine.Operator.push [| punct s2 [ ("B", 7) ] |]);
+  let out = op.Engine.Operator.push [| data s1 [ 1; 7 ] |] in
   check_int "emitted immediately" 1
     (List.length (List.filter Element.is_data out));
   check_int "nothing buffered" 0 (op.Engine.Operator.data_state_size ())
 
 let test_antijoin_watermark_release () =
   let op = anti () in
-  ignore (op.Engine.Operator.push (data s1 [ 1; 5 ]));
-  ignore (op.Engine.Operator.push (data s1 [ 2; 9 ]));
+  ignore (op.Engine.Operator.push [| data s1 [ 1; 5 ] |]);
+  ignore (op.Engine.Operator.push [| data s1 [ 2; 9 ] |]);
   let out =
     op.Engine.Operator.push
-      (Element.Punct (Punctuation.watermark s2 "B" (vi 8)))
+      [| Element.Punct (Punctuation.watermark s2 "B" (vi 8)) |]
   in
   check_int "below the watermark released" 1
     (List.length (List.filter Element.is_data out))
 
 let test_antijoin_left_punct_purges_right_state () =
   let op = anti () in
-  ignore (op.Engine.Operator.push (data s2 [ 7; 0 ]));
+  ignore (op.Engine.Operator.push [| data s2 [ 7; 0 ] |]);
   check_int "right remembered" 1 (op.Engine.Operator.data_state_size ());
-  let out = op.Engine.Operator.push (punct s1 [ ("B", 7) ]) in
+  let out = op.Engine.Operator.push [| punct s1 [ ("B", 7) ] |] in
   check_int "right tuple dropped" 0 (op.Engine.Operator.data_state_size ());
   check_int "left punctuation forwarded" 1
     (List.length (List.filter Element.is_punct out))
@@ -350,7 +350,7 @@ let test_antijoin_auction_unsold_items () =
     (fun e ->
       List.iter
         (fun out -> if Element.is_data out then incr unsold)
-        (op.Engine.Operator.push e))
+        (op.Engine.Operator.push [| e |]))
     trace;
   (* every item gets bids_per_item bids in this workload: zero unsold *)
   check_int "no unsold items" 0 !unsold;
@@ -409,7 +409,7 @@ let test_dedup_state_bytes_shared_estimate () =
   let op = Dedup.create ~input:s1 ~key:[ "A" ] () in
   check_int "empty costs nothing" 0 (op.Engine.Operator.state_bytes ());
   for i = 1 to 5 do
-    ignore (op.Engine.Operator.push (data s1 [ i; 0 ]))
+    ignore (op.Engine.Operator.push [| data s1 [ i; 0 ] |])
   done;
   check_int "five keys, shared formula"
     (Engine.Mem_estimate.keyed_table_bytes ~key_width:1 ~payload_width:0
@@ -423,7 +423,7 @@ let test_groupby_state_bytes_shared_estimate () =
   in
   for i = 1 to 4 do
     (* two tuples per group: entries count groups, not members *)
-    ignore (op.Engine.Operator.push (data s1 [ i mod 2; i ]))
+    ignore (op.Engine.Operator.push [| data s1 [ i mod 2; i ] |])
   done;
   check_int "two groups, key + one accumulator cell"
     (Engine.Mem_estimate.keyed_table_bytes ~key_width:1 ~payload_width:1

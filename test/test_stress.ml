@@ -75,15 +75,15 @@ let test_dedup_100k_stream () =
   for i = 0 to 99_999 do
     let key = i / 100 in
     let out =
-      op.Engine.Operator.push (Element.Data (tuple schema [ i; key ]))
+      op.Engine.Operator.push [| Element.Data (tuple schema [ i; key ]) |]
     in
     distinct := !distinct + List.length out;
     if i mod 100 = 99 then
       ignore
         (op.Engine.Operator.push
-           (Element.Punct
+           [| Element.Punct
               (Streams.Punctuation.watermark schema "B"
-                 (Relational.Value.Int (key + 1)))));
+                 (Relational.Value.Int (key + 1))) |]);
     peak := max !peak (op.Engine.Operator.data_state_size ())
   done;
   check_int "exactly the distinct keys" 1000 !distinct;
