@@ -635,7 +635,13 @@ let run_query file multi_files no_share rounds tuples_per_round punct_lag
           5
       | exception Engine.Checkpoint.Invalid m ->
           Fmt.epr "INVALID CHECKPOINT: %s@." m;
-          6)
+          6
+      | exception Workload.Synth.Unkeyable_attribute { stream; attr } ->
+          Fmt.epr
+            "cannot generate a workload: %s.%s is bool, and a round key \
+             populates only int, str and float attributes@."
+            stream attr;
+          1)
 
 let file =
   Arg.(
@@ -1061,8 +1067,8 @@ let exits =
     Cmd.Exit.info 0 ~doc:"on success (bounded run, no fatal violation).";
     Cmd.Exit.info 1
       ~doc:
-        "on query parse or validation errors, or a flag the chosen mode does \
-         not run.";
+        "on query parse or validation errors, a flag the chosen mode does \
+         not run, or a bool attribute the synthetic workload cannot key.";
     Cmd.Exit.info 2
       ~doc:"when refusing to run an unsafe query (re-run with --force).";
     Cmd.Exit.info 3

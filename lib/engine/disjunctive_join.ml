@@ -49,7 +49,7 @@ let create ?(name = "disjunctive_join") ?(policy = Purge_policy.Eager) ~left
   in
   let probe mine other tup =
     Join_state.fold
-      (fun acc cand ->
+      (fun acc (_, cand) ->
         if Disjunctive.joins clause tup cand then emit mine cand tup :: acc
         else acc)
       [] other.state

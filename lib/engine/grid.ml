@@ -45,6 +45,7 @@ type t = {
   exporter : Obs.Exporter.t option;
   registry : unit -> Obs.Registry.t;
   metrics : Metrics.t;
+  watched : (string, unit) Hashtbl.t;  (** operators the watchdog watches *)
   mutable prev_snapshot : Obs.Snapshot.t option;
   mutable prev_gc : Gc.stat;
 }
@@ -62,6 +63,7 @@ let start ?exporter ?watchdog ?registry ~sample_every ~label telemetry =
     registry =
       Option.value registry ~default:(fun () -> Telemetry.registry telemetry);
     metrics = Metrics.create ~sample_every ();
+    watched = Hashtbl.create 8;
     prev_snapshot = None;
     prev_gc = Gc.quick_stat ();
   }
@@ -136,10 +138,18 @@ let record g ~final ~tick ~emitted parts =
       (Obs.Event.Sample
          { tick; data_state; punct_state; index_state; state_bytes; emitted })
   end;
+  (* An operator's watchdog window opens at its first grid point holding a
+     stored punctuation: before it nothing can have been purged, so growth
+     is the punctuation lag filling, not a leak. An operator with a
+     purge-unreachable input can leak from the start and is watched from
+     the start. *)
   List.iter2
     (fun (_, ((p : part), _)) r ->
-      observe g ~tick ~op:r.op_name ~size:r.data
-        ~unreachable:(p.unreachable r.op_name))
+      let unreachable = p.unreachable r.op_name in
+      if r.puncts > 0 || unreachable <> [] then
+        Hashtbl.replace g.watched r.op_name ();
+      if Hashtbl.mem g.watched r.op_name then
+        observe g ~tick ~op:r.op_name ~size:r.data ~unreachable)
     groups rows
 
 let sample g ~tick ~emitted parts = record g ~final:false ~tick ~emitted parts

@@ -7,8 +7,12 @@
     the {!Metrics} sample, the per-operator state gauges
     ([<op>.data_state], [.punct_state], [.index_state], [.state_bytes]),
     the whole-process GC deltas ([gc_minor_words] …, [gc_heap_words]),
-    the [Sample] event, one watchdog observation per operator (with its
-    [Alarm] event), and on {!publish} the exporter snapshot. The same
+    the [Sample] event, one watchdog observation per watched operator
+    (with its [Alarm] event), and on {!publish} the exporter snapshot. An
+    operator is watched from its first grid point holding a stored
+    punctuation (before it nothing can have been purged, so growth is the
+    punctuation lag filling), or from the start if it has a
+    purge-unreachable input. The same
     module builds the report's per-operator entries, so every execution
     mode — sequential, multi-query, sharded — records the same grid point.
 

@@ -1,32 +1,31 @@
 open Relational
 
-module Key = struct
-  type t = Value.t list
+(* Buckets of a generic (non-Int) index, keyed by one attribute value. *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = Value.t
 
-  let equal a b = List.compare Value.compare a b = 0
-  let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
-end
+  let equal a b = Value.compare a b = 0
+  let hash = Value.hash
+end)
 
-module KeyTbl = Hashtbl.Make (Key)
-
-(* Bucket storage per index. The generic representation keys buckets by the
-   raw projected [Value.t list]; the specialized one unboxes the common
-   single-attribute Int key so the hot probe path hashes a native int
-   instead of a boxed heterogeneous list. Chosen once at index-build time
-   from the schema's attribute type.
+(* Bucket storage per index. Every index is on one attribute. The generic
+   representation keys buckets by the raw [Value.t]; the specialized one
+   unboxes an Int-typed attribute so the hot probe path hashes a native
+   int. Chosen once at index-build time from the schema's attribute type.
 
    Null join keys are never stored in either representation and probing
-   with a Null returns nothing: [Key.equal] (via [Value.compare]) would
-   otherwise match Null = Null while [Predicate.eval] (via [Value.equal])
-   rejects it, making the answer depend on which atom the probe order
-   happened to pick as the hash key. SQL semantics — a null key matches
-   nothing — is the one both paths can agree on (see {!Value.compare}). *)
+   with a Null returns nothing: [KeyTbl]'s equality (via [Value.compare])
+   would otherwise match Null = Null while [Predicate.eval] (via
+   [Value.equal]) rejects it, making the answer depend on which atom the
+   probe order happened to pick as the hash key. SQL semantics — a null
+   key matches nothing — is the one both paths can agree on (see
+   {!Value.compare}). *)
 type buckets =
   | Generic of int list ref KeyTbl.t
   | Int1 of (int, int list ref) Hashtbl.t
 
 type index = {
-  attrs : int list;
+  attr : int;
   buckets : buckets;
   mutable entries : int;  (** total ids across all buckets (kept exact) *)
 }
@@ -51,29 +50,22 @@ type mem_stats = {
 let create schema =
   { schema; live = Hashtbl.create 64; indexes = []; next_id = 0 }
 
-let schema t = t.schema
-
 let index_insert (idx : index) id tup =
-  match idx.buckets with
-  | Int1 tbl -> (
-      match Tuple.get tup (List.hd idx.attrs) with
-      | Value.Int k ->
-          (match Hashtbl.find_opt tbl k with
-          | Some ids -> ids := id :: !ids
-          | None -> Hashtbl.add tbl k (ref [ id ]));
-          idx.entries <- idx.entries + 1
-      | _ ->
-          (* Null (or an out-of-type value, impossible for validated
-             tuples): not indexable, the tuple can never be a probe hit. *)
-          ())
-  | Generic tbl ->
-      let key = Tuple.project tup idx.attrs in
-      if not (List.exists Value.is_null key) then begin
-        (match KeyTbl.find_opt tbl key with
-        | Some ids -> ids := id :: !ids
-        | None -> KeyTbl.add tbl key (ref [ id ]));
-        idx.entries <- idx.entries + 1
-      end
+  match (idx.buckets, Tuple.get tup idx.attr) with
+  | Int1 tbl, Value.Int k ->
+      (match Hashtbl.find_opt tbl k with
+      | Some ids -> ids := id :: !ids
+      | None -> Hashtbl.add tbl k (ref [ id ]));
+      idx.entries <- idx.entries + 1
+  | _, Value.Null | Int1 _, _ ->
+      (* Null (or an out-of-type value, impossible for validated tuples):
+         not indexable, the tuple can never be a probe hit. *)
+      ()
+  | Generic tbl, key ->
+      (match KeyTbl.find_opt tbl key with
+      | Some ids -> ids := id :: !ids
+      | None -> KeyTbl.add tbl key (ref [ id ]));
+      idx.entries <- idx.entries + 1
 
 let insert ?tick t tup =
   if not (Schema.equal (Tuple.schema tup) t.schema) then
@@ -103,11 +95,10 @@ let remove_from_indexes (t : t) victims =
           (fun (idx : index) ->
             match idx.buckets with
             | Int1 tbl ->
-                let attr = List.hd idx.attrs in
                 let touched = Hashtbl.create 16 in
                 List.iter
                   (fun (_, tup) ->
-                    match Tuple.get tup attr with
+                    match Tuple.get tup idx.attr with
                     | Value.Int k -> Hashtbl.replace touched k ()
                     | _ -> ())
                   victims;
@@ -122,9 +113,8 @@ let remove_from_indexes (t : t) victims =
                 let touched = KeyTbl.create 16 in
                 List.iter
                   (fun (_, tup) ->
-                    let key = Tuple.project tup idx.attrs in
-                    if not (List.exists Value.is_null key) then
-                      KeyTbl.replace touched key ())
+                    let key = Tuple.get tup idx.attr in
+                    if not (Value.is_null key) then KeyTbl.replace touched key ())
                   victims;
                 KeyTbl.iter
                   (fun key () ->
@@ -173,121 +163,59 @@ let evict_oldest t ~count =
 let size t = Hashtbl.length t.live
 let insertions t = t.next_id
 
-let build_index t attrs =
-  let buckets =
-    match attrs with
-    | [ a ] when (Schema.attr_at t.schema a).Schema.ty = Value.TInt ->
-        Int1 (Hashtbl.create 64)
-    | _ -> Generic (KeyTbl.create 64)
+let buckets_for (schema : Schema.t) attr =
+  if (Schema.attr_at schema attr).Schema.ty = Value.TInt then
+    Int1 (Hashtbl.create 64)
+  else Generic (KeyTbl.create 64)
+
+let find_index (t : t) ~attr = List.find_opt (fun i -> i.attr = attr) t.indexes
+
+let index_on t ~attr =
+  match find_index t ~attr with
+  | Some idx -> idx
+  | None ->
+      let idx = { attr; buckets = buckets_for t.schema attr; entries = 0 } in
+      Hashtbl.iter (fun id (_, tup) -> index_insert idx id tup) t.live;
+      t.indexes <- idx :: t.indexes;
+      idx
+
+(* The live entries of bucket [ids], in bucket order. Purge maintains the
+   indexes eagerly, so every id should be live; a dead one is swept here,
+   and only then is the id list rewritten (an emptied bucket is removed). *)
+let live_entries (t : t) (idx : index) remove ids =
+  let dead = ref 0 in
+  let[@tail_mod_cons] rec live = function
+    | [] -> []
+    | id :: rest -> (
+        match Hashtbl.find t.live id with
+        | entry -> entry :: live rest
+        | exception Not_found ->
+            incr dead;
+            live rest)
   in
-  let idx = { attrs; buckets; entries = 0 } in
-  Hashtbl.iter (fun id (_, tup) -> index_insert idx id tup) t.live;
-  t.indexes <- idx :: t.indexes;
-  idx
+  let entries = live !ids in
+  if !dead > 0 then begin
+    idx.entries <- idx.entries - !dead;
+    if entries = [] then remove ()
+    else ids := List.filter (Hashtbl.mem t.live) !ids
+  end;
+  entries
 
-let find_or_build_index (t : t) attrs =
-  match List.find_opt (fun i -> i.attrs = attrs) t.indexes with
-  | Some i -> i
-  | None -> build_index t attrs
-
-let index_on t ~attr = find_or_build_index t [ attr ]
-let find_index (t : t) ~attr =
-  List.find_opt (fun i -> i.attrs = [ attr ]) t.indexes
-
-(* Purge maintains the indexes eagerly, so every id should be live; keep
-   the compaction as a defensive sweep and never leave an empty bucket
-   behind. *)
-let bucket_tuples (t : t) (idx : index) remove ids =
-  let alive =
-    List.filter_map
-      (fun id ->
-        match Hashtbl.find_opt t.live id with
-        | Some (_, tup) -> Some (id, tup)
-        | None -> None)
-      !ids
-  in
-  idx.entries <- idx.entries - (List.length !ids - List.length alive);
-  if alive = [] then remove () else ids := List.map fst alive;
-  List.map snd alive
-
-(* Tick-carrying twin of [bucket_tuples], for the instrumented probe path
-   (result-latency spans need the arrival tick of every matched tuple).
-   Kept separate so the uninstrumented hot path pays nothing. *)
-let bucket_entries (t : t) (idx : index) remove ids =
-  let alive =
-    List.filter_map
-      (fun id ->
-        match Hashtbl.find_opt t.live id with
-        | Some (tick, tup) -> Some (id, tick, tup)
-        | None -> None)
-      !ids
-  in
-  idx.entries <- idx.entries - (List.length !ids - List.length alive);
-  if alive = [] then remove ()
-  else ids := List.map (fun (id, _, _) -> id) alive;
-  List.map (fun (_, tick, tup) -> (tick, tup)) alive
-
-let probe_index (t : t) (idx : index) values =
-  if List.exists Value.is_null values then []
-  else
-    match idx.buckets, values with
-    | Int1 tbl, [ Value.Int k ] -> (
-        match Hashtbl.find_opt tbl k with
-        | None -> []
-        | Some ids -> bucket_tuples t idx (fun () -> Hashtbl.remove tbl k) ids)
-    | Int1 _, _ ->
-        (* probing an Int-typed column with a non-Int value: by typing it
-           cannot be stored here, so there is nothing to match *)
-        []
-    | Generic tbl, key -> (
-        match KeyTbl.find_opt tbl key with
-        | None -> []
-        | Some ids ->
-            bucket_tuples t idx (fun () -> KeyTbl.remove tbl key) ids)
-
-let probe (t : t) ~attrs values = probe_index t (find_or_build_index t attrs) values
-
-(* Handle-based probe for compiled probe programs: the index was resolved
-   once at plan time, so the per-probe index search disappears and the
-   single-value common case skips the key-list allocation entirely. *)
 let probe_handle (t : t) (idx : index) v =
-  match idx.buckets with
-  | Int1 tbl -> (
-      match v with
-      | Value.Int k -> (
-          match Hashtbl.find_opt tbl k with
-          | None -> []
-          | Some ids ->
-              bucket_tuples t idx (fun () -> Hashtbl.remove tbl k) ids)
-      | _ -> [])
-  | Generic _ -> probe_index t idx [ v ]
-
-let probe_entries_index (t : t) (idx : index) values =
-  if List.exists Value.is_null values then []
-  else
-    match idx.buckets, values with
-    | Int1 tbl, [ Value.Int k ] -> (
-        match Hashtbl.find_opt tbl k with
-        | None -> []
-        | Some ids -> bucket_entries t idx (fun () -> Hashtbl.remove tbl k) ids)
-    | Int1 _, _ -> []
-    | Generic tbl, key -> (
-        match KeyTbl.find_opt tbl key with
-        | None -> []
-        | Some ids ->
-            bucket_entries t idx (fun () -> KeyTbl.remove tbl key) ids)
-
-let probe_entries_handle (t : t) (idx : index) v =
-  match idx.buckets with
-  | Int1 tbl -> (
-      match v with
-      | Value.Int k -> (
-          match Hashtbl.find_opt tbl k with
-          | None -> []
-          | Some ids ->
-              bucket_entries t idx (fun () -> Hashtbl.remove tbl k) ids)
-      | _ -> [])
-  | Generic _ -> probe_entries_index t idx [ v ]
+  match (idx.buckets, v) with
+  | _, Value.Null -> []
+  | Int1 tbl, Value.Int k -> (
+      match Hashtbl.find_opt tbl k with
+      | None -> []
+      | Some ids -> live_entries t idx (fun () -> Hashtbl.remove tbl k) ids)
+  | Int1 _, _ ->
+      (* probing an Int-typed column with a non-Int value: by typing it
+         cannot be stored here, so there is nothing to match *)
+      []
+  | Generic tbl, v -> (
+      match KeyTbl.find_opt tbl v with
+      | None -> []
+      | Some ids -> live_entries t idx (fun () -> KeyTbl.remove tbl v) ids)
 
 (* Id-level probe for the incremental purge: the ids of the live tuples in
    [v]'s bucket, with their tuples. *)
@@ -297,7 +225,7 @@ let probe_ids (t : t) (idx : index) v =
     | _, Value.Null -> None
     | Int1 tbl, Value.Int k -> Hashtbl.find_opt tbl k
     | Int1 _, _ -> None
-    | Generic tbl, v -> KeyTbl.find_opt tbl [ v ]
+    | Generic tbl, v -> KeyTbl.find_opt tbl v
   in
   match ids with
   | None -> []
@@ -326,11 +254,7 @@ let remove t ids =
   List.length victims
 
 let iteri f t = Hashtbl.iter (fun id (_, tup) -> f id tup) t.live
-let iter f t = Hashtbl.iter (fun _ (_, tup) -> f tup) t.live
-let fold f init t = Hashtbl.fold (fun _ (_, tup) acc -> f acc tup) t.live init
-
-let fold_entries f init t =
-  Hashtbl.fold (fun _ (tick, tup) acc -> f acc tick tup) t.live init
+let fold f init t = Hashtbl.fold (fun _ entry acc -> f acc entry) t.live init
 
 let purge_if t pred =
   let victims =
@@ -343,7 +267,9 @@ let purge_if t pred =
 let exists_matching t p =
   let exception Found in
   try
-    iter (fun tup -> if Streams.Punctuation.matches p tup then raise Found) t;
+    Hashtbl.iter
+      (fun _ (_, tup) -> if Streams.Punctuation.matches p tup then raise Found)
+      t.live;
     false
   with Found -> true
 
@@ -353,9 +279,9 @@ module Wire = Streams.Wire
 
 let snapshot_version = 1
 
-(* Live entries ascending by id, then the attr lists of every index. The
-   tuples themselves carry no schema — the reader restores into a state
-   compiled from the same plan. *)
+(* Live entries ascending by id, then each index's attribute as a
+   one-element list. The tuples themselves carry no schema — the reader
+   restores into a state compiled from the same plan. *)
 let write_snapshot b (t : t) =
   Wire.W.u8 b snapshot_version;
   Wire.W.int b t.next_id;
@@ -370,7 +296,7 @@ let write_snapshot b (t : t) =
       Wire.write_tuple b tup)
     b entries;
   Wire.W.list (Wire.W.list Wire.W.int) b
-    (List.map (fun (idx : index) -> idx.attrs) t.indexes)
+    (List.map (fun (idx : index) -> [ idx.attr ]) t.indexes)
 
 let clear_index (idx : index) =
   (match idx.buckets with
@@ -403,21 +329,23 @@ let read_snapshot (t : t) r =
         (id, tick, tup))
       r
   in
-  let index_attrs = Wire.R.list (Wire.R.list Wire.R.int) r in
+  let index_attrs =
+    Wire.R.list
+      (fun r ->
+        match Wire.R.list Wire.R.int r with
+        | [ attr ] when attr >= 0 && attr < Schema.arity t.schema -> attr
+        | _ -> raise (Wire.Corrupt "Join_state snapshot: bad index attribute"))
+      r
+  in
   Hashtbl.reset t.live;
   t.next_id <- next_id;
   List.iter (fun idx -> clear_index idx) t.indexes;
   List.iter
-    (fun attrs ->
-      if not (List.exists (fun (i : index) -> i.attrs = attrs) t.indexes)
-      then
-        let buckets =
-          match attrs with
-          | [ a ] when (Schema.attr_at t.schema a).Schema.ty = Value.TInt ->
-              Int1 (Hashtbl.create 64)
-          | _ -> Generic (KeyTbl.create 64)
-        in
-        t.indexes <- { attrs; buckets; entries = 0 } :: t.indexes)
+    (fun attr ->
+      if find_index t ~attr = None then
+        t.indexes <-
+          { attr; buckets = buckets_for t.schema attr; entries = 0 }
+          :: t.indexes)
     index_attrs;
   List.iter
     (fun (id, tick, tup) ->
@@ -448,8 +376,7 @@ let mem_stats (t : t) =
   let entry_bytes = Mem_estimate.list_cell_bytes in
   let buckets = bucket_count t in
   let bucket_bytes (idx : index) =
-    Mem_estimate.table_entry_bytes ~width:(List.length idx.attrs)
-    * buckets_in idx.buckets
+    Mem_estimate.table_entry_bytes ~width:1 * buckets_in idx.buckets
   in
   let approx_bytes =
     (live_tuples * tuple_bytes)

@@ -1,6 +1,6 @@
 (** A join state [Υ_S]: the stored tuples of one input of a join operator,
-    with hash indexes built on demand per probe key (the hash tables of the
-    symmetric hash join / MJoin algorithms the paper assumes).
+    with single-attribute hash indexes built on demand (the hash tables of
+    the symmetric hash join / MJoin algorithms the paper assumes).
 
     Purging maintains the secondary indexes eagerly: removing a tuple also
     removes its id from every index bucket, and a bucket that empties is
@@ -8,25 +8,23 @@
     tuple count — is therefore O(live tuples), which is what Theorem 1's
     bounded-state guarantee is about. {!mem_stats} exposes the accounting.
 
-    Null join keys follow SQL semantics: a tuple whose key projection
-    contains [Value.Null] is never indexed, and probing with a Null value
-    returns nothing. The bucket tables are keyed by [Value.compare] (which
-    treats Null = Null as equal so values can key containers), while join
+    Null join keys follow SQL semantics: a tuple whose key attribute is
+    [Value.Null] is never indexed, and probing with a Null value returns
+    nothing. The bucket tables are keyed by [Value.compare] (which treats
+    Null = Null as equal so values can key containers), while join
     predicates use [Value.equal] (which rejects Null = Null) — skipping
     nulls at the index boundary is what keeps the two paths consistent, so
     the answer no longer depends on which atom the probe order uses as the
     hash key.
 
-    The single-attribute Int key — the common shape for equi-joins over
-    synthetic and integer-keyed workloads — is specialized at index-build
-    time to a native [(int, _) Hashtbl.t], skipping the boxed
-    heterogeneous-list hashing of the generic representation. *)
+    An index on an Int-typed attribute — the common shape for equi-joins
+    over synthetic and integer-keyed workloads — is specialized at
+    index-build time to a native [(int, _) Hashtbl.t]. *)
 
 type t
 
-(** A resolved secondary index, for compiled probe programs: obtained once
-    via {!index_on} at plan time and probed with {!probe_handle}, skipping
-    the per-probe index lookup of {!probe}. Handles stay valid for the
+(** A resolved single-attribute index: obtained once via {!index_on} at
+    plan time and probed with {!probe_handle}. Handles stay valid for the
     lifetime of the state (indexes are never dropped, only maintained). *)
 type handle
 
@@ -44,7 +42,6 @@ type mem_stats = {
 }
 
 val create : Relational.Schema.t -> t
-val schema : t -> Relational.Schema.t
 
 (** [insert ?tick t tuple] stores [tuple]; [tick] (default: the insertion
     counter) is remembered for age-based eviction ({!evict_before}). *)
@@ -62,31 +59,19 @@ val size : t -> int
 (** [insertions t] — total ever inserted (monotone). *)
 val insertions : t -> int
 
-(** [probe t ~attrs values] — live tuples whose projection on attribute
-    positions [attrs] equals [values]; indexed after the first probe on a
-    given key shape. A [values] containing [Null] matches nothing (SQL
-    null-key semantics, see the module docs). *)
-val probe : t -> attrs:int list -> Relational.Value.t list -> Relational.Tuple.t list
-
-(** [index_on t ~attr] — the (built-on-demand) single-attribute index on
+(** [index_on t ~attr] — the (built-on-demand) index on attribute
     position [attr], as a reusable probe handle. *)
 val index_on : t -> attr:int -> handle
 
-(** [find_index t ~attr] — the single-attribute index on position [attr]
-    if one was already built; never builds one. *)
+(** [find_index t ~attr] — the index on position [attr] if one was already
+    built; never builds one. *)
 val find_index : t -> attr:int -> handle option
 
-(** [probe_handle t h v] — live tuples whose [h]-attribute equals [v];
-    [Null] matches nothing. Equivalent to {!probe} on [h]'s attribute but
-    without the index search or key-list allocation. *)
-val probe_handle : t -> handle -> Relational.Value.t -> Relational.Tuple.t list
-
-(** Tick-carrying twin of {!probe_handle}, returning each match as
-    [(insertion tick, tuple)]. The instrumented probe path uses it to
-    compute a result's latency span (emission tick − oldest contributing
-    arrival tick); the plain variant stays allocation-lean for the
-    uninstrumented hot path. *)
-val probe_entries_handle :
+(** [probe_handle t h v] — the state's one index probe: the live entries
+    [(insertion tick, tuple)] whose [h]-attribute equals [v], in bucket
+    order (newest first). The entries are the ones the state stores, so a
+    probe allocates only the result list. [Null] matches nothing. *)
+val probe_handle :
   t -> handle -> Relational.Value.t -> (int * Relational.Tuple.t) list
 
 (** [evict_oldest t ~count] removes the [count] oldest live tuples by
@@ -95,12 +80,9 @@ val probe_entries_handle :
     how many were removed (< [count] when the state is smaller). *)
 val evict_oldest : t -> count:int -> int
 
-val iter : (Relational.Tuple.t -> unit) -> t -> unit
-val fold : ('a -> Relational.Tuple.t -> 'a) -> 'a -> t -> 'a
-
-(** [fold_entries f init t] — like {!fold} with each tuple's insertion
-    tick. *)
-val fold_entries : ('a -> int -> Relational.Tuple.t -> 'a) -> 'a -> t -> 'a
+(** [fold f init t] — [f] over every live entry [(insertion tick, tuple)],
+    in table order. *)
+val fold : ('a -> int * Relational.Tuple.t -> 'a) -> 'a -> t -> 'a
 
 (** Id-level access, for the incremental purge. Ids are insertion ids:
     [0 .. insertions t - 1], in arrival order; none of these builds an
@@ -112,7 +94,8 @@ val iteri : (int -> Relational.Tuple.t -> unit) -> t -> unit
 (** [find t id] — the live tuple with id [id], if any. *)
 val find : t -> int -> Relational.Tuple.t option
 
-(** [probe_ids t h v] — like {!probe_handle}, with each match's id. *)
+(** [probe_ids t h v] — the live tuples {!probe_handle} finds, each with
+    its id instead of its tick. *)
 val probe_ids :
   t -> handle -> Relational.Value.t -> (int * Relational.Tuple.t) list
 

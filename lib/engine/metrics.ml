@@ -57,35 +57,13 @@ let final t = match t.samples with [] -> None | s :: _ -> Some s
 
 (* Least-squares slope of [field] against the tick over the second half of
    the run: ≈ 0 when bounded, > 0 when the series grows without bound.
-   Degenerate windows — empty, a single sample, or samples all landing on
-   one tick (repeated [force] at the same clock) — have no defined slope
-   and answer 0 rather than dividing by a vanishing variance. *)
+   Degenerate windows answer 0 ({!Obs.Watchdog.slope}). *)
 let slope_of field t =
   let all = samples t in
   let n = List.length all in
-  let tail = List.filteri (fun i _ -> i >= n / 2) all in
-  match tail with
-  | [] | [ _ ] -> 0.0
-  | first :: rest when List.for_all (fun s -> s.tick = first.tick) rest -> 0.0
-  | _ ->
-      let m = float_of_int (List.length tail) in
-      let sx = List.fold_left (fun a s -> a +. float_of_int s.tick) 0.0 tail in
-      let sy =
-        List.fold_left (fun a s -> a +. float_of_int (field s)) 0.0 tail
-      in
-      let sxx =
-        List.fold_left
-          (fun a s -> a +. (float_of_int s.tick *. float_of_int s.tick))
-          0.0 tail
-      in
-      let sxy =
-        List.fold_left
-          (fun a s -> a +. (float_of_int s.tick *. float_of_int (field s)))
-          0.0 tail
-      in
-      let denom = (m *. sxx) -. (sx *. sx) in
-      if Float.abs denom < 1e-9 then 0.0
-      else ((m *. sxy) -. (sx *. sy)) /. denom
+  Obs.Watchdog.slope
+    (List.filteri (fun i _ -> i >= n / 2) all
+    |> List.map (fun s -> (s.tick, field s)))
 
 let growth_slope t = slope_of (fun s -> s.data_state) t
 let index_growth_slope t = slope_of (fun s -> s.index_state) t

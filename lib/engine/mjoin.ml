@@ -145,11 +145,11 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
   in
   let orders = Probe.orders names predicates in
   let stats = ref Operator.empty_stats in
-  (* Chosen once: the instrumented paths (tick-carrying inserts and probes,
-     result-latency spans, punctuation-progress gauges) exist only when a
-     live telemetry handle was passed, so the disabled operator is the same
-     code it was before instrumentation existed. *)
+  (* Chosen once: result-latency spans, punctuation-progress gauges and
+     the probe/insert counters are recorded only when a live telemetry
+     handle was passed. *)
   let instrumented = Telemetry.enabled telemetry in
+  let c_probes = name ^ ".probes" and c_inserts = name ^ ".inserts" in
   let now = ref 0 in
   let pending_puncts = ref 0 in
   (* Global tick of the oldest informative punctuation not yet followed by
@@ -214,32 +214,24 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
           ~steps:(List.assoc s.input.name orders))
       slots
   in
-  let probe_from ix tup =
-    let results = ref [] in
-    Probe.run_compiled progs.(ix) tup ~emit:(fun asg ->
-        let out = Array.make total_arity Value.Null in
-        Array.iteri (fun s cand -> Tuple.blit cand out offsets.(s)) asg;
-        results := Tuple.unsafe_of_array out_schema out :: !results);
-    List.rev !results
-  in
-  (* Instrumented twin: each result's latency span is the element-clock
-     distance from the arrival of its oldest contributing tuple to its
-     emission — the end-to-end "how stale is this answer" number the
-     purge-lag histogram cannot give (purge lag watches state, this watches
-     results). *)
+  (* A result's latency span is the element-clock distance from the
+     arrival of its oldest contributing tuple to its emission — the
+     end-to-end "how stale is this answer" number the purge-lag histogram
+     cannot give (purge lag watches state, this watches results). *)
   let h_latency = name ^ ".result_latency" in
-  let probe_from_instrumented ix tup =
+  let probe_from ix tup =
     let tick = Telemetry.now telemetry in
     let results = ref [] in
-    Probe.run_compiled_entries progs.(ix) tup ~tick ~emit:(fun asg ticks ->
+    Probe.run_compiled progs.(ix) tup ~tick ~emit:(fun asg ticks ->
         let out = Array.make total_arity Value.Null in
         Array.iteri (fun s cand -> Tuple.blit cand out offsets.(s)) asg;
-        let oldest = Array.fold_left min ticks.(0) ticks in
-        Telemetry.observe telemetry h_latency (max 0 (tick - oldest));
+        if instrumented then begin
+          let oldest = Array.fold_left min ticks.(0) ticks in
+          Telemetry.observe telemetry h_latency (max 0 (tick - oldest))
+        end;
         results := Tuple.unsafe_of_array out_schema out :: !results);
     List.rev !results
   in
-  let probe_from = if instrumented then probe_from_instrumented else probe_from in
   (* Punctuation-progress frontier per input: the lowest / highest tick the
      stored punctuations vouch for. Min-merged across shards (the lagging
      shard defines global progress), max-merged for the leading edge. *)
@@ -329,10 +321,13 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     match cs.keyed with
     | Some (k, h) ->
         List.concat_map
-          (fun v -> List.filter ok (Join_state.probe_handle state h v))
+          (fun v ->
+            List.filter_map
+              (fun (_, x) -> if ok x then Some x else None)
+              (Join_state.probe_handle state h v))
           values.(k)
     | None ->
-        Join_state.fold (fun acc x -> if ok x then x :: acc else acc) [] state
+        Join_state.fold (fun acc (_, x) -> if ok x then x :: acc else acc) [] state
   in
   (* The live tuples of [state] whose attribute [pos] passes [sel]. *)
   let select state pos index sel =
@@ -627,10 +622,7 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
                     ~victims:1
                 end
                 else begin
-                  if Telemetry.enabled telemetry then begin
-                    Telemetry.incr telemetry (name ^ ".probes");
-                    Telemetry.incr telemetry (name ^ ".inserts")
-                  end;
+                  Telemetry.incr telemetry c_probes;
                   let results = probe_from ix tup in
                   if dead_on_arrival ix tup then begin
                     stats :=
@@ -638,14 +630,15 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
                     record_purge ~input:input_name ~trigger:"dead_on_arrival"
                       ~victims:1
                   end
-                  else if instrumented then
-                    (* The global element clock only ever advances with the
-                       insertion id, so age-ordered eviction sees the same
-                       total order as the uninstrumented default (tick =
-                       id) — shedding stays run-identical. *)
+                  else begin
+                    (* The element clock never runs backwards (the null
+                       handle's stays 0), so age-ordered eviction by
+                       (tick, insertion id) is the arrival order and
+                       shedding stays run-identical. *)
                     Join_state.insert ~tick:(Telemetry.now telemetry)
-                      slot.state tup
-                  else Join_state.insert slot.state tup;
+                      slot.state tup;
+                    Telemetry.incr telemetry c_inserts
+                  end;
                   stats :=
                     {
                       !stats with

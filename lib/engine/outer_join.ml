@@ -95,6 +95,7 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
   let right_arity = Schema.arity right.schema in
   let stats = ref Operator.empty_stats in
   let instrumented = Telemetry.enabled telemetry in
+  let c_probes = name ^ ".probes" and c_inserts = name ^ ".inserts" in
   let now = ref 0 in
   let pending_since = ref None in
   (match contract with
@@ -310,11 +311,12 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
                 emit_unmatched acc mine ~trigger:"null_key" [ tup ]
             end
             else begin
-              if instrumented then Telemetry.incr telemetry (name ^ ".probes");
+              Telemetry.incr telemetry c_probes;
               let results = ref [] in
               let matched = ref false in
               let partner_matches = ref [] in
-              Probe.run_compiled (prog_of mine) tup ~emit:(fun arr ->
+              let tick = Telemetry.now telemetry in
+              Probe.run_compiled (prog_of mine) tup ~tick ~emit:(fun arr _ ->
                   matched := true;
                   let partner = if mine == l then arr.(1) else arr.(0) in
                   partner_matches := partner :: !partner_matches;
@@ -345,10 +347,10 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
                  if !matched then ()
                  else if covered then
                    emit_unmatched acc mine ~trigger:"immediate" [ tup ]
-                 else
-                   Join_state.insert
-                     ?tick:(if instrumented then Some (Telemetry.now telemetry) else None)
-                     mine.pending tup
+                 else begin
+                   Join_state.insert ~tick mine.pending tup;
+                   Telemetry.incr telemetry c_inserts
+                 end
                end
                else if covered then begin
                  (* dead on arrival for future matching; if preserved and
@@ -358,16 +360,12 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
                    emit_unmatched acc mine ~trigger:"immediate" [ tup ]
                end
                else begin
-                 let tick =
-                   if instrumented then Some (Telemetry.now telemetry) else None
-                 in
                  if mine.store_used then begin
-                   Join_state.insert ?tick mine.store tup;
-                   if instrumented then
-                     Telemetry.incr telemetry (name ^ ".inserts")
+                   Join_state.insert ~tick mine.store tup;
+                   Telemetry.incr telemetry c_inserts
                  end;
                  if mine.preserved && not !matched then
-                   Join_state.insert ?tick mine.pending tup
+                   Join_state.insert ~tick mine.pending tup
                end);
               let n_results = List.length !results in
               stats := { !stats with tuples_out = !stats.tuples_out + n_results };

@@ -134,55 +134,14 @@ let compile ~names ~schemas ~states ~steps =
   in
   { steps = Array.of_list csteps; n_slots = n }
 
-let run_compiled prog tuple ~emit =
-  (* Depth-first over the compiled steps; [asg] is reused in place, so
-     [emit] must consume the array immediately (result assembly copies the
-     values out anyway). Slots not yet bound alias the origin tuple, which
-     is safe: a step only ever reads slots the walk has already bound.
-     Candidates are visited in per-bucket order, so results come out in
-     the lexicographic order of the walk's steps. *)
-  let asg = Array.make prog.n_slots tuple in
-  let m = Array.length prog.steps in
-  let rec go i =
-    if i = m then emit asg
-    else begin
-      let st = prog.steps.(i) in
-      let candidates =
-        match st.key with
-        | Some k ->
-            Join_state.probe_handle st.target_state k.handle
-              (Tuple.get asg.(k.bound_slot) k.bound_idx)
-        | None -> Join_state.fold (fun acc x -> x :: acc) [] st.target_state
-      in
-      List.iter
-        (fun cand ->
-          let checks = st.checks in
-          let nc = Array.length checks in
-          let ok = ref true in
-          let j = ref 0 in
-          while !ok && !j < nc do
-            let c = checks.(!j) in
-            if
-              not
-                (Value.equal (Tuple.get cand c.cand_idx)
-                   (Tuple.get asg.(c.other_slot) c.other_idx))
-            then ok := false;
-            incr j
-          done;
-          if !ok then begin
-            asg.(st.target) <- cand;
-            go (i + 1)
-          end)
-        candidates
-    end
-  in
-  go 0
-
-let run_compiled_entries prog tuple ~tick ~emit =
-  (* Instrumented twin of [run_compiled]: [ticks] runs parallel to [asg]
-     and carries each bound tuple's arrival tick (the origin's is [tick]),
-     so [emit] can compute the result's latency span. Same emission order;
-     both arrays are reused in place. *)
+let run_compiled prog tuple ~tick ~emit =
+  (* Depth-first over the compiled steps; [asg] and, parallel to it,
+     [ticks] (each bound tuple's insertion tick; the origin's is [tick])
+     are reused in place, so [emit] must consume them immediately (result
+     assembly copies the values out anyway). Slots not yet bound alias the
+     origin, which is safe: a step only ever reads slots the walk has
+     already bound. Candidates are visited in per-bucket order, so results
+     come out in the lexicographic order of the walk's steps. *)
   let asg = Array.make prog.n_slots tuple in
   let ticks = Array.make prog.n_slots tick in
   let m = Array.length prog.steps in
@@ -193,12 +152,9 @@ let run_compiled_entries prog tuple ~tick ~emit =
       let candidates =
         match st.key with
         | Some k ->
-            Join_state.probe_entries_handle st.target_state k.handle
+            Join_state.probe_handle st.target_state k.handle
               (Tuple.get asg.(k.bound_slot) k.bound_idx)
-        | None ->
-            Join_state.fold_entries
-              (fun acc tk x -> (tk, x) :: acc)
-              [] st.target_state
+        | None -> Join_state.fold (fun acc e -> e :: acc) [] st.target_state
       in
       List.iter
         (fun (cand_tick, cand) ->

@@ -35,18 +35,13 @@ val compile :
   steps:step list ->
   prog
 
-(** [run_compiled prog tuple ~emit] walks [prog] with the origin slot bound
-    to [tuple] and calls [emit] once per complete assignment with the
-    slot-indexed tuple array. The array is reused across emissions — [emit]
-    must copy what it keeps. *)
+(** [run_compiled prog tuple ~tick ~emit] walks [prog] with the origin
+    slot bound to [tuple] and calls [emit asg ticks] once per complete
+    assignment: [asg] is the slot-indexed tuple array and [ticks], parallel
+    to it, each tuple's insertion tick ([tick] for the origin), from which
+    a caller can compute a result's latency span. Both arrays are reused
+    across emissions — [emit] must copy what it keeps. *)
 val run_compiled :
-  prog -> Relational.Tuple.t -> emit:(Relational.Tuple.t array -> unit) -> unit
-
-(** [run_compiled_entries prog tuple ~tick ~emit] — instrumented twin of
-    {!run_compiled} for result-latency spans: a second array, parallel to
-    the assignment, carries each matched tuple's insertion tick (the origin
-    slot holds [tick]). Both arrays are reused across emissions. *)
-val run_compiled_entries :
   prog ->
   Relational.Tuple.t ->
   tick:int ->

@@ -9,7 +9,9 @@ type t = {
   time : unit -> int;
 }
 
-let default_time () = int_of_float (Sys.time () *. 1e9)
+(* Wall time from the monotonic clock: each domain times its own pushes,
+   and a push that waits reports its wait. *)
+let default_time () = Int64.to_int (Monotonic_clock.now ())
 
 (* The shared disabled handle: no recording operation touches it, so one
    value serves every uninstrumented compile. *)

@@ -19,8 +19,8 @@ val null : t
 (** [create ?sink ?watchdog ?time_ns ()] — an enabled handle. [sink]
     defaults to {!Obs.Sink.null} (counters and histograms still record —
     a registry without a trace is the common production mode). [time_ns]
-    is the latency clock (monotonic preferred); the default derives
-    nanoseconds from [Sys.time] (CPU time). *)
+    is the latency clock; the default is the monotonic wall clock in
+    nanoseconds, so a push is timed by the domain that runs it. *)
 val create :
   ?sink:Obs.Sink.t ->
   ?watchdog:Obs.Watchdog.t ->

@@ -49,7 +49,8 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
      (slots are in declared input order, the output's column order). *)
   let probe_from input_name tup =
     let results = ref [] in
-    Probe.run_compiled (List.assoc input_name progs) tup ~emit:(fun asg ->
+    Probe.run_compiled (List.assoc input_name progs) tup ~tick:0
+      ~emit:(fun asg _ ->
         let values = List.concat_map Tuple.values (Array.to_list asg) in
         results := Tuple.make out_schema values :: !results);
     List.rev !results

@@ -138,6 +138,17 @@ let cycle_query ~n () =
   in
   Cjq.make defs preds
 
+exception Unkeyable_attribute of { stream : string; attr : string }
+
+(* A generated value [k] in attribute [a]'s declared type: every type but
+   bool can carry any integer key. *)
+let key_value stream (a : Schema.attribute) k =
+  match a.Schema.ty with
+  | Value.TInt -> Value.Int k
+  | Value.TStr -> Value.Str (string_of_int k)
+  | Value.TFloat -> Value.Float (float_of_int k)
+  | Value.TBool -> raise (Unkeyable_attribute { stream; attr = a.Schema.name })
+
 type trace_config = {
   rounds : int;
   tuples_per_round : int;
@@ -153,23 +164,21 @@ let round_trace_defs defs config =
   then invalid_arg "Synth.round_trace: bad configuration";
   let schemes =
     List.concat_map
-      (fun def ->
-        List.map
-          (fun sch -> (Stream_def.name def, sch))
-          (Stream_def.schemes def))
+      (fun def -> List.map (fun sch -> (def, sch)) (Stream_def.schemes def))
       defs
   in
-  let tuple_for schema key =
+  let tuple_for def key =
+    let schema = Stream_def.schema def in
     Tuple.make schema
-      (List.map (fun _ -> Value.Int key) (Schema.attributes schema))
+      (List.map
+         (fun a -> key_value (Stream_def.name def) a key)
+         (Schema.attributes schema))
   in
   let data_round r =
     List.concat_map
       (fun i ->
         let key = (r * config.tuples_per_round) + i in
-        List.map
-          (fun def -> Element.Data (tuple_for (Stream_def.schema def) key))
-          defs)
+        List.map (fun def -> Element.Data (tuple_for def key)) defs)
       (List.init config.tuples_per_round Fun.id)
   in
   let punct_round r =
@@ -177,11 +186,16 @@ let round_trace_defs defs config =
       (fun i ->
         let key = (r * config.tuples_per_round) + i in
         List.map
-          (fun (_, sch) ->
+          (fun (def, sch) ->
+            let schema = Stream_def.schema def in
             Element.Punct
               (Scheme.instantiate sch
                  (List.map
-                    (fun a -> (a, Value.Int key))
+                    (fun a ->
+                      ( a,
+                        key_value (Stream_def.name def)
+                          (Schema.attr_at schema (Schema.attr_index schema a))
+                          key ))
                     (Scheme.punctuatable_attrs sch))))
           schemes)
       (List.init config.tuples_per_round Fun.id)
@@ -212,7 +226,8 @@ let random_trace query ~elements_per_stream ~value_range ~punct_prob ~seed =
           List.init elements_per_stream (fun _ ->
               Tuple.make schema
                 (List.map
-                   (fun _ -> Value.Int (Rng.int rng value_range))
+                   (fun a ->
+                     key_value (Stream_def.name def) a (Rng.int rng value_range))
                    (Schema.attributes schema)))
         in
         (* For each scheme, place a punctuation for each occurring value

@@ -1,8 +1,11 @@
 (** Synthetic query, scheme and trace generators — the raw material for the
     property tests and the scaling benchmarks.
 
-    All attributes are integers and every generator is seeded, so any
-    failing random instance can be reproduced from its configuration. *)
+    The generated queries have integer attributes. The trace generators
+    emit each generated integer in its attribute's declared type ([k],
+    ["k"] or [k.0] for int, str and float), and every generator is
+    seeded, so any failing random instance can be reproduced from its
+    configuration. *)
 
 type query_config = {
   n_streams : int;
@@ -34,6 +37,10 @@ val chain_query : n:int -> unit -> Query.Cjq.t
 (** [cycle_query ~n ()] — Figure 5's shape generalized: a directed scheme
     cycle, safe as one MJoin but with no safe binary tree. *)
 val cycle_query : n:int -> unit -> Query.Cjq.t
+
+(** Raised by the trace generators for a [bool] attribute, which cannot
+    carry an integer key: the stream and the attribute. *)
+exception Unkeyable_attribute of { stream : string; attr : string }
 
 type trace_config = {
   rounds : int;

@@ -283,6 +283,55 @@ dune exec bin/pstream_obs.exe -- verify \
   "$OBS_TMP/unsafe_report.json" "$OBS_TMP/unsafe_trace.jsonl" \
   --expect-alarm S2 --expect-alarm S3
 
+echo "== watchdog: no alarm while a long punctuation lag fills =="
+# At lag 60 no punctuation arrives for the first 60 rounds, so the state
+# fills to ~900 tuples before anything can be purged, then holds. That is
+# not a leak: the triangle and the star pair must exit 0 with no alarm,
+# sequentially and sharded.
+for shards in 1 2; do
+  for query in "examples/triangle.query" \
+    "--query examples/star_rst.query --query examples/star_rsu.query"; do
+    set +e
+    # shellcheck disable=SC2086
+    ./_build/default/bin/pstream_run.exe $query --rounds 300 --fanin 5 \
+      --lag 60 --shards "$shards" > "$OBS_TMP/lag60.txt" 2>&1
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ] || grep -q 'WATCHDOG ALARM' "$OBS_TMP/lag60.txt"; then
+      echo "pstream-run $query --lag 60 --shards $shards: exit $status, expected 0 with no alarm" >&2
+      grep 'WATCHDOG ALARM' "$OBS_TMP/lag60.txt" >&2 || true
+      exit 1
+    fi
+  done
+done
+
+echo "== README quick-start query (str and float attributes) =="
+# README.md's quick-start query, read from the README so the check follows
+# the text, must run sequentially and on 2 shards with equal output hashes.
+sed -n '/^cat > q.txt <<.EOF.$/,/^EOF$/p' README.md | sed '1d;$d' \
+  > "$OBS_TMP/readme.query"
+if [ ! -s "$OBS_TMP/readme.query" ]; then
+  echo "no quick-start query found in README.md" >&2
+  exit 1
+fi
+for shards in 1 2; do
+  ./_build/default/bin/pstream_run.exe "$OBS_TMP/readme.query" --rounds 200 \
+    --shards "$shards" > "$OBS_TMP/readme_$shards.txt" || {
+    echo "pstream-run on the README quick-start query failed (--shards $shards)" >&2
+    exit 1
+  }
+  grep '^output hash: ' "$OBS_TMP/readme_$shards.txt" \
+    > "$OBS_TMP/readme_hash_$shards.txt" || {
+    echo "no output hash for the README quick-start query (--shards $shards)" >&2
+    exit 1
+  }
+done
+if ! cmp -s "$OBS_TMP/readme_hash_1.txt" "$OBS_TMP/readme_hash_2.txt"; then
+  echo "README quick-start query: sequential and 2-shard output hashes differ" >&2
+  cat "$OBS_TMP/readme_hash_1.txt" "$OBS_TMP/readme_hash_2.txt" >&2
+  exit 1
+fi
+
 echo "== sharded smoke: --shards 1 vs --shards 4 =="
 # Both shard counts must produce a self-consistent report/trace pair and
 # the exact same output data-tuple multiset as each other.

@@ -257,7 +257,7 @@ let test_evict_oldest_is_deterministic () =
   done;
   check_int "evicts exactly count" 4 (Join_state.evict_oldest st ~count:4);
   let survivors =
-    Join_state.fold (fun acc t -> Tuple.get_named t "A" :: acc) [] st
+    Join_state.fold (fun acc (_, t) -> Tuple.get_named t "A" :: acc) [] st
     |> List.map (function Value.Int i -> i | _ -> -1)
     |> List.sort compare
   in

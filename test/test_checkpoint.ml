@@ -79,7 +79,23 @@ let test_wire_truncation_is_corrupt () =
       Wire.R.string (Wire.R.of_string (String.sub s 0 3)));
   let r = Wire.R.of_string (s ^ "!") in
   ignore (Wire.R.string r);
-  expect_corrupt "trailing garbage" (fun () -> Wire.R.expect_end r)
+  expect_corrupt "trailing garbage" (fun () -> Wire.R.expect_end r);
+  (* a join-state snapshot whose index is not on one in-range attribute *)
+  List.iter
+    (fun attrs ->
+      let b = Buffer.create 16 in
+      Wire.W.u8 b 1;
+      Wire.W.int b 0;
+      Wire.W.list Wire.W.int b [];
+      Wire.W.list (Wire.W.list Wire.W.int) b [ attrs ];
+      expect_corrupt
+        (Fmt.str "join-state index on [%s]"
+           (String.concat "; " (List.map string_of_int attrs)))
+        (fun () ->
+          Engine.Join_state.read_snapshot
+            (Engine.Join_state.create s1)
+            (Wire.R.of_string (Buffer.contents b))))
+    [ [ 2 ]; [ -1 ]; [ 0; 1 ]; [] ]
 
 (* ------------------------------------------------------------------ *)
 (* Operator snapshot round-trips *)

@@ -21,6 +21,11 @@ let punct schema bindings =
 (* ------------------------------------------------------------------ *)
 (* Join_state *)
 
+(* The state's one index probe on attribute [attr]; the first probe on an
+   attribute builds its index. *)
+let probe st ~attr v =
+  Join_state.probe_handle st (Join_state.index_on st ~attr) (Value.Int v)
+
 let test_join_state_insert_size () =
   let st = Join_state.create s1 in
   Join_state.insert st (tuple s1 [ 1; 2 ]);
@@ -34,22 +39,24 @@ let test_join_state_probe () =
   Join_state.insert st (tuple s1 [ 2; 7 ]);
   Join_state.insert st (tuple s1 [ 3; 8 ]);
   check_int "two with B=7" 2
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 7 ]));
+    (List.length (probe st ~attr:1 7));
   check_int "none with B=9" 0
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 9 ]));
+    (List.length (probe st ~attr:1 9));
   Join_state.insert st (tuple s1 [ 4; 7 ]);
   check_int "index sees later insert" 3
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 7 ]))
+    (List.length (probe st ~attr:1 7));
+  check_bool "entries carry insertion ticks, newest first" true
+    (List.map fst (probe st ~attr:1 7) = [ 3; 1; 0 ])
 
 let test_join_state_purge () =
   let st = Join_state.create s1 in
   List.iter (fun b -> Join_state.insert st (tuple s1 [ b; b ])) [ 1; 2; 3; 4 ];
-  ignore (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 1 ]);
+  ignore (probe st ~attr:1 1);
   let removed = Join_state.purge_if st (fun t -> Tuple.get t 0 < Value.Int 3) in
   check_int "removed" 2 removed;
   check_int "left" 2 (Join_state.size st);
   check_int "B=1 gone from index too" 0
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 1 ]))
+    (List.length (probe st ~attr:1 1))
 
 let test_join_state_ids_and_matching () =
   let st = Join_state.create s1 in
@@ -87,7 +94,7 @@ let test_join_state_schema_mismatch () =
 let test_join_state_purge_cleans_indexes () =
   let st = Join_state.create s1 in
   List.iter (fun b -> Join_state.insert st (tuple s1 [ b; b ])) [ 1; 2; 3; 4 ];
-  ignore (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 1 ]);
+  ignore (probe st ~attr:1 1);
   check_int "entries before" 4 (Join_state.index_entries st);
   check_int "buckets before" 4 (Join_state.bucket_count st);
   ignore (Join_state.purge_if st (fun t -> Tuple.get t 0 < Value.Int 3));
@@ -105,8 +112,8 @@ let test_join_state_evict_cleans_indexes () =
     (fun i b -> Join_state.insert ~tick:i st (tuple s1 [ b; b ]))
     [ 1; 2; 3; 4 ];
   (* two indexes on different attrs: both must be maintained *)
-  ignore (Join_state.probe st ~attrs:[ 0 ] [ Value.Int 1 ]);
-  ignore (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 1 ]);
+  ignore (probe st ~attr:0 1);
+  ignore (probe st ~attr:1 1);
   check_int "entries = live x indexes" 8 (Join_state.index_entries st);
   check_int "evicted" 3 (Join_state.evict_before st ~tick:3);
   check_int "entries after evict" 2 (Join_state.index_entries st);
@@ -117,18 +124,18 @@ let test_join_state_evict_cleans_indexes () =
 let test_join_state_probe_after_purge_no_empty_buckets () =
   let st = Join_state.create s1 in
   Join_state.insert st (tuple s1 [ 1; 7 ]);
-  ignore (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 7 ]);
+  ignore (probe st ~attr:1 7);
   ignore (Join_state.purge_if st (fun _ -> true));
   (* probing purged and never-seen keys must not leave buckets behind *)
   check_int "probe after purge" 0
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 7 ]));
+    (List.length (probe st ~attr:1 7));
   check_int "probe miss" 0
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 42 ]));
+    (List.length (probe st ~attr:1 42));
   check_int "no buckets" 0 (Join_state.bucket_count st);
   (* the index keeps serving correct results after cleanup *)
   Join_state.insert st (tuple s1 [ 2; 7 ]);
   check_int "reinserted key probes" 1
-    (List.length (Join_state.probe st ~attrs:[ 1 ] [ Value.Int 7 ]))
+    (List.length (probe st ~attr:1 7))
 
 let test_join_state_mem_stats_bounded_under_unique_keys () =
   (* the adversarial pattern in miniature: every key is used once, then
@@ -136,7 +143,7 @@ let test_join_state_mem_stats_bounded_under_unique_keys () =
   let st = Join_state.create s1 in
   for i = 1 to 500 do
     Join_state.insert st (tuple s1 [ i; i ]);
-    ignore (Join_state.probe st ~attrs:[ 1 ] [ Value.Int i ]);
+    ignore (probe st ~attr:1 i);
     ignore (Join_state.purge_if st (fun t -> Tuple.get t 1 = Value.Int i));
     let m = Join_state.mem_stats st in
     check_bool "entries bounded" true (m.Join_state.index_entries <= 1);

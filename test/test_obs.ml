@@ -480,7 +480,7 @@ let unsafe_triangle () =
     (Scheme.Set.of_list
        [ Scheme.of_attrs s2 [ "C" ]; Scheme.of_attrs s3 [ "A" ] ])
 
-let run_with_watchdog q =
+let run_with_watchdog ?(keep = fun _ -> true) q =
   let telemetry =
     Telemetry.create ~watchdog:(Obs.Watchdog.create ()) ()
   in
@@ -489,7 +489,7 @@ let run_with_watchdog q =
   in
   ignore
     (Executor.run ~sample_every:25 c
-       (List.to_seq (triangle_trace ~rounds:150 q)));
+       (List.to_seq (List.filter keep (triangle_trace ~rounds:150 q))));
   (c, Telemetry.alarms telemetry)
 
 let test_watchdog_silent_on_safe_run () =
@@ -511,7 +511,182 @@ let test_watchdog_flags_unsafe_run () =
   check_bool "diagnosis = compile-time unreachable set" true
     (sorted_strings a.Obs.Watchdog.unreachable
     = sorted_strings (Executor.unreachable_inputs c "J1"));
-  check_bool "slope reflects the leak" true (a.Obs.Watchdog.slope > 0.0)
+  check_bool "slope reflects the leak" true (a.Obs.Watchdog.slope > 0.0);
+  (* an operator with a purge-unreachable input is watched from the start,
+     stored punctuation or not *)
+  let _, alarms = run_with_watchdog ~keep:Element.is_data q in
+  check_bool "watchdog tripped without punctuations" true (alarms <> [])
+
+(* A safe run with a long punctuation lag: for the first 60 rounds no
+   punctuation arrives, so the state fills before anything can be purged,
+   then holds at ~900 tuples. The fill is not a leak: the watchdog watches
+   an operator only from its first grid point holding a stored
+   punctuation. Same shape for the two-query star with a shared sub-join. *)
+let test_watchdog_quiet_while_lag_fills () =
+  let shape =
+    { Workload.Synth.rounds = 300; tuples_per_round = 5; punct_lag = 60;
+      trace_seed = 42 }
+  in
+  let q = fig5_query () in
+  let telemetry = Telemetry.create ~watchdog:(Obs.Watchdog.create ()) () in
+  let c =
+    Executor.compile ~config:(Executor.Config.make ~telemetry ()) q
+      (Plan.mjoin [ "S1"; "S2"; "S3" ])
+  in
+  let r =
+    Executor.run ~sample_every:100 c
+      (List.to_seq (Workload.Synth.round_trace q shape))
+  in
+  check_int "no alarm on the lag-60 triangle" 0
+    (List.length (Telemetry.alarms telemetry));
+  check_bool "its state plateaus" true
+    (Metrics.growth_slope r.Executor.metrics < 0.02);
+  let star third =
+    Query.Parser.parse
+      (Printf.sprintf
+         "stream R(K:int, A:int)\nstream S(K:int, B:int)\n\
+          stream %s(K:int, C:int)\nscheme R(+, _)\nscheme S(+, _)\n\
+          scheme %s(+, _)\njoin R.K = S.K\njoin S.K = %s.K\n"
+         third third third)
+  in
+  let registry =
+    Query.Query_registry.create
+      [
+        { Query.Query_registry.qid = "star_rst"; query = star "T" };
+        { Query.Query_registry.qid = "star_rsu"; query = star "U" };
+      ]
+  in
+  let telemetry = Telemetry.create ~watchdog:(Obs.Watchdog.create ()) () in
+  let m =
+    Engine.Multi_executor.create
+      ~config:(Executor.Config.make ~telemetry ())
+      registry
+  in
+  ignore
+    (Engine.Multi_executor.run ~sample_every:100 m
+       (List.to_seq
+          (Workload.Synth.round_trace_defs
+             (Engine.Multi_executor.stream_defs m)
+             shape)));
+  check_int "no alarm on the lag-60 star pair" 0
+    (List.length (Telemetry.alarms telemetry))
+
+(* [inserts] counts the tuples a join stores. Under the eager policy a
+   tuple whose partner was already punctuated away probes and is dropped
+   on arrival, so it counts in [tuples_in] but not in [inserts]; the anti
+   join stores a left tuple in its pending state alone, and counts it. *)
+let test_inserts_count_stored_tuples () =
+  let q =
+    Query.Parser.parse
+      "stream R(K:int, A:int)\nstream S(K:int, B:int)\nscheme R(+, _)\n\
+       scheme S(+, _)\njoin R.K = S.K\n"
+  in
+  let schema name =
+    Streams.Stream_def.schema
+      (List.find
+         (fun d -> Streams.Stream_def.name d = name)
+         (Query.Cjq.stream_defs q))
+  in
+  let r = schema "R" and s = schema "S" in
+  let punct schema k =
+    Element.Punct
+      (Streams.Punctuation.of_bindings schema [ ("K", Value.Int k) ])
+  in
+  (* even keys: S's punctuation comes before R's tuple, which is then dead
+     on arrival *)
+  let trace =
+    List.concat_map
+      (fun k ->
+        [ Element.Data (tuple s [ k; 0 ]) ]
+        @ (if k mod 2 = 0 then [ punct s k ] else [])
+        @ [ Element.Data (tuple r [ k; 0 ]); punct r k ])
+      (List.init 30 (fun i -> i + 1))
+  in
+  let sink, events = Obs.Sink.memory () in
+  let telemetry = Telemetry.create ~sink () in
+  let c =
+    Executor.compile ~config:(Executor.Config.make ~telemetry ()) q
+      (Plan.mjoin [ "R"; "S" ])
+  in
+  let res = Executor.run ~sample_every:10 c (List.to_seq trace) in
+  let events = events () in
+  let drops =
+    List.fold_left
+      (fun acc -> function
+        | Obs.Event.Purge { trigger = "dead_on_arrival"; victims; _ } ->
+            acc + victims
+        | _ -> acc)
+      0 events
+  in
+  let counter = Obs.Registry.counter (Telemetry.registry telemetry) in
+  check_int "even keys dropped on arrival" 15 drops;
+  check_int "every tuple probed" 60 (counter "J1.probes");
+  check_int "inserts = tuples_in - drops"
+    (counter "J1.tuples_in" - drops)
+    (counter "J1.inserts");
+  check_bool "report = trace replay" true
+    (Obs.Report.verify
+       ~report:(Obs.Report.to_json (Executor.report c res))
+       ~events
+    = Ok ());
+  let telemetry = Telemetry.create () in
+  let anti =
+    Engine.Outer_join.create ~name:"A1" ~telemetry
+      ~semantics:Engine.Outer_join.Anti
+      ~left:{ Engine.Outer_join.name = "S1"; schema = s1; schemes = [] }
+      ~right:{ Engine.Outer_join.name = "S2"; schema = s2; schemes = [] }
+      ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
+      ()
+  in
+  ignore
+    (anti.Engine.Operator.push
+       [|
+         Element.Data (tuple s1 [ 1; 7 ]);
+         Element.Data (tuple s1 [ 2; 8 ]);
+         Element.Data (tuple s2 [ 9; 0 ]);
+       |]);
+  check_int "anti join: inserts = stored tuples"
+    (anti.Engine.Operator.data_state_size ())
+    (Obs.Registry.counter (Telemetry.registry telemetry) "A1.inserts")
+
+(* Telemetry times a push on the monotonic wall clock of the domain that
+   runs it: under four domains an operator that sleeps 2 ms per run
+   reports at least 2 ms for every run, in every domain's handle. Process
+   CPU time would read ~0 for a sleep and sum the domains' work. *)
+let test_push_ns_is_wall_time_per_domain () =
+  let sleeper () =
+    let op = Engine.Select.create ~name:"sleeper" ~input:s1 ~conditions:[] () in
+    {
+      op with
+      Engine.Operator.push =
+        (fun arr ->
+          Unix.sleepf 0.002;
+          op.Engine.Operator.push arr);
+    }
+  in
+  let push_ns =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let telemetry = Telemetry.create () in
+            let op = Telemetry.wrap_op telemetry (sleeper ()) in
+            for i = 1 to 5 do
+              ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ i; i ]) |])
+            done;
+            Obs.Registry.histogram (Telemetry.registry telemetry)
+              "sleeper.push_ns"))
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun d h ->
+      check_int (Fmt.str "domain %d: five runs timed" d) 5
+        (Obs.Histogram.count h);
+      (* the exact minimum: every run, so also the median, took >= 2 ms *)
+      check_bool
+        (Fmt.str "domain %d: push_ns p50 >= 2 ms (min %d ns)" d
+           (Obs.Histogram.min_value h))
+        true
+        (Obs.Histogram.min_value h >= 2_000_000))
+    push_ns
 
 (* Evict events: a window join reports its evictions through telemetry and
    the counter survives trace replay. *)
@@ -1003,6 +1178,12 @@ let () =
             test_watchdog_silent_on_safe_run;
           Alcotest.test_case "watchdog flags unsafe" `Quick
             test_watchdog_flags_unsafe_run;
+          Alcotest.test_case "watchdog quiet while the lag fills" `Quick
+            test_watchdog_quiet_while_lag_fills;
+          Alcotest.test_case "inserts count stored tuples" `Quick
+            test_inserts_count_stored_tuples;
+          Alcotest.test_case "push_ns is wall time per domain" `Quick
+            test_push_ns_is_wall_time_per_domain;
           Alcotest.test_case "window evict events" `Quick
             test_window_evict_events;
         ] );

@@ -235,6 +235,55 @@ let test_synth_random_trace_well_formed () =
       (List.length (Trace.check ~schemes:(Cjq.scheme_set q) trace))
   done
 
+(* The trace generators emit each key in its attribute's declared type,
+   so a query joined on str and float attributes (the README's shape) runs
+   on a well-formed trace, and the engine's generic-key index finds every
+   match. A bool attribute cannot carry a key and is refused. *)
+let test_synth_typed_keys () =
+  let q =
+    Query.Parser.parse
+      "stream item(itemid:str, price:float, seller:int)\n\
+       stream bid(itemid:str, amount:float)\n\
+       scheme item(+, _, _)\nscheme bid(+, _)\n\
+       join item.itemid = bid.itemid\njoin item.price = bid.amount\n"
+  in
+  let trace =
+    Synth.round_trace q
+      { Synth.default_trace_config with rounds = 30; tuples_per_round = 2;
+        punct_lag = 2 }
+  in
+  check_int "well-formed" 0
+    (List.length (Trace.check ~schemes:(Cjq.scheme_set q) trace));
+  check_bool "str and float values" true
+    (List.exists
+       (function
+         | Element.Data t ->
+             Tuple.get t 0 = Value.Str "7" && Tuple.get t 1 = Value.Float 7.0
+         | Element.Punct _ -> false)
+       trace);
+  let expected = Synth.brute_force_results q trace in
+  check_int "brute force = rounds * tuples" 60 expected;
+  let c =
+    Engine.Executor.compile q (Query.Plan.mjoin (Cjq.stream_names q))
+  in
+  let r = Engine.Executor.run c (List.to_seq trace) in
+  check_int "engine = brute force" expected r.Engine.Executor.emitted;
+  let random =
+    Synth.random_trace q ~elements_per_stream:30 ~value_range:5
+      ~punct_prob:0.5 ~seed:4
+  in
+  check_int "random trace well-formed" 0
+    (List.length (Trace.check ~schemes:(Cjq.scheme_set q) random));
+  let with_bool =
+    Query.Parser.parse
+      "stream a(k:int, flag:bool)\nstream b(k:int)\nscheme a(+, _)\n\
+       scheme b(+)\njoin a.k = b.k\n"
+  in
+  match Synth.round_trace with_bool Synth.default_trace_config with
+  | _ -> Alcotest.fail "a bool attribute must be refused"
+  | exception Synth.Unkeyable_attribute { stream; attr } ->
+      check_bool "names the attribute" true (stream = "a" && attr = "flag")
+
 let () =
   Alcotest.run "workload"
     [
@@ -274,5 +323,6 @@ let () =
           Alcotest.test_case "round trace" `Quick test_synth_round_trace_well_formed_and_counted;
           Alcotest.test_case "punctuation lag" `Quick test_synth_round_trace_punct_lag;
           Alcotest.test_case "random trace well-formed" `Quick test_synth_random_trace_well_formed;
+          Alcotest.test_case "str and float keys" `Quick test_synth_typed_keys;
         ] );
     ]
