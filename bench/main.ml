@@ -673,7 +673,7 @@ let w1 () =
           List.iter
             (fun out -> if Element.is_data out then incr found)
             (wj.Engine.Operator.push [| e |]);
-          peak := max !peak (wj.Engine.Operator.data_state_size ()))
+          peak := max !peak (wj.Engine.Operator.state ()).data)
         trace;
       row "%-26s %-10d %-10s %-10d@."
         (Printf.sprintf "window (ticks=%d)" horizon)
@@ -841,7 +841,7 @@ let x1 () =
         List.iter
           (fun out -> if Element.is_data out then incr results)
           (op.Engine.Operator.push [| e |]);
-        peak := max !peak (op.Engine.Operator.data_state_size ()))
+        peak := max !peak (op.Engine.Operator.state ()).data)
       [
         Element.Data (Tuple.make t1 [ Value.Int k; Value.Int (k + n) ]);
         Element.Data (Tuple.make t2 [ Value.Int k; Value.Int (k + n) ]);
@@ -858,7 +858,7 @@ let x1 () =
   row
     "@.runtime over %d rounds: results=%d (one output per matching pair even when both disjuncts hold), peak state=%d, final=%d@."
     n !results !peak
-    (op.Engine.Operator.data_state_size ());
+    (op.Engine.Operator.state ()).data;
   row
     "(a tuple is purged only once punctuations rule out BOTH disjuncts —      the dual of the conjunctive rule)@."
 
@@ -1260,7 +1260,14 @@ let b2 () =
    allocation accounting: long runs coalesce eager purge rounds and
    amortize per-call overhead, so both wall time and minor-heap churn per
    element should drop. Hash equality between the two cut sizes (and
-   across shard counts) is asserted, not just reported. *)
+   across shard counts) is asserted, not just reported.
+
+   One timed run varies by half on a shared host, wider than
+   scripts/bench_diff.sh's 30% gate, so every scenario is timed in
+   [b3_rounds] interleaved rounds and each cut keeps its fastest run: a
+   slowdown episode inflates some runs, never the best one. *)
+
+let b3_rounds = 5
 
 type hot_row = {
   hp_id : string;
@@ -1285,9 +1292,10 @@ let write_hot_path_json path ~batch ~shards_checked rows =
     (Printf.sprintf
        "  \"generated_by\": \"dune exec bench/main.exe -- B3\",\n\
        \  \"batch\": %d,\n\
+       \  \"rounds\": %d,\n\
        \  \"shards_checked\": [%s],\n\
        \  \"runs\": [\n"
-       batch
+       batch b3_rounds
        (String.concat ", " (List.map string_of_int shards_checked)));
   List.iteri
     (fun i r ->
@@ -1373,17 +1381,34 @@ let b3 () =
       g1.Gc.minor_words -. g0.Gc.minor_words,
       g1.Gc.major_words -. g0.Gc.major_words )
   in
-  let rows =
-    List.map
-      (fun (id, (q, plan, trace)) ->
-        let n = List.length trace in
-        let re, te, e_minor, e_major = timed_run q plan trace in
-        let rb, tb, b_minor, b_major = timed_run ~batch q plan trace in
-        let he = Executor.output_hash re.Executor.outputs in
-        let hb = Executor.output_hash rb.Executor.outputs in
-        if he <> hb then
+  (* Round-robin over the scenarios, element then batched run, keeping
+     each cut's fastest run; every run's hash is checked. *)
+  let fastest best ((_, t, _, _) as run) =
+    match best with
+    | Some ((_, t0, _, _) as b) when t0 <= t -> b
+    | _ -> run
+  in
+  let best = Array.make (List.length scenarios) (None, None) in
+  for _ = 1 to b3_rounds do
+    List.iteri
+      (fun i (id, (q, plan, trace)) ->
+        let e = timed_run q plan trace in
+        let b = timed_run ~batch q plan trace in
+        let hash (r, _, _, _) = Executor.output_hash r.Executor.outputs in
+        if hash e <> hash b then
           failwith
             (Printf.sprintf "B3: batch output hash diverged on %s" id);
+        let be, bb = best.(i) in
+        best.(i) <- (Some (fastest be e), Some (fastest bb b)))
+      scenarios
+  done;
+  let rows =
+    List.mapi
+      (fun i (id, (_, _, trace)) ->
+        let n = List.length trace in
+        let _, te, e_minor, e_major = Option.get (fst best.(i)) in
+        let rb, tb, b_minor, b_major = Option.get (snd best.(i)) in
+        let hb = Executor.output_hash rb.Executor.outputs in
         let per x = x /. float_of_int (max 1 n) in
         {
           hp_id = id;
@@ -1447,10 +1472,12 @@ let b3 () =
   write_hot_path_json path ~batch ~shards_checked rows;
   row "wrote %s@." path;
   row
-    "(hash-checked: batch = element on every scenario, and shards 1/4 \
-     reproduce the sequential triangle multiset; the minor-words column is \
-     where the compiled probe programs and Int-specialized buckets show \
-     up — fewer boxed keys and intermediate lists per element)@."
+    "(hash-checked: batch = element on every run of every scenario, and \
+     shards 1/4 reproduce the sequential triangle multiset; each cut's \
+     figures are its fastest of %d interleaved rounds; the minor-words \
+     column is what the compiled probe programs and the one key table, \
+     whose Int keys hash unboxed, allocate per element)@."
+    b3_rounds
 
 (* ------------------------------------------------------------------ *)
 (* B4 — multi-query shared execution                                    *)

@@ -1,7 +1,7 @@
-(* Client-side plumbing shared by pstream-obs (scrape/top/tail) and the
-   dedicated pstream-top binary: one-shot scrapes of a live exporter
-   endpoint, sample accessors over the parsed exposition, the top frame
-   renderer, and the trace pretty-printer. *)
+(* Client-side plumbing of pstream-obs's scrape, top and tail commands:
+   one-shot scrapes of a live exporter endpoint, sample accessors over the
+   parsed exposition, the top frame renderer, and the trace
+   pretty-printer. *)
 
 type scraped = {
   text : string;

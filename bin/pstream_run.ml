@@ -73,20 +73,17 @@ let run_sharded ~pexec ~streams ~policy ~sample_every ~label ~trace_file
   Fmt.pr "consumed %d elements, emitted %d results@."
     result.Engine.Parallel_executor.consumed n_results;
   List.iter
-    (fun (b : Engine.Executor.breakdown) ->
+    (fun (name, (st : Engine.Operator.state)) ->
       Fmt.pr "%s: data=%d puncts=%d index=%d bytes=%d (summed over shards)@."
-        b.Engine.Executor.op_name b.Engine.Executor.data
-        b.Engine.Executor.puncts b.Engine.Executor.index
-        b.Engine.Executor.bytes)
+        name st.data st.puncts st.index st.bytes)
     (Engine.Parallel_executor.state_breakdown pexec);
   Array.iteri
     (fun i bl ->
       Fmt.pr "shard %d:%a@." i
         (fun ppf bl ->
           List.iter
-            (fun (b : Engine.Executor.breakdown) ->
-              Fmt.pf ppf " %s data=%d" b.Engine.Executor.op_name
-                b.Engine.Executor.data)
+            (fun (name, (st : Engine.Operator.state)) ->
+              Fmt.pf ppf " %s data=%d" name st.data)
             bl)
         bl)
     (Engine.Parallel_executor.shard_breakdowns pexec);
@@ -290,11 +287,9 @@ let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
             List.iter
               (fun (owner, ops) ->
                 List.iter
-                  (fun (b : Engine.Executor.breakdown) ->
+                  (fun (name, (st : Engine.Operator.state)) ->
                     Fmt.pr "%s %s: data=%d puncts=%d index=%d bytes=%d@." owner
-                      b.Engine.Executor.op_name b.Engine.Executor.data
-                      b.Engine.Executor.puncts b.Engine.Executor.index
-                      b.Engine.Executor.bytes)
+                      name st.data st.puncts st.index st.bytes)
                   ops)
               (Engine.Multi_executor.state_breakdown m);
             Fmt.pr "total state bytes: %d (shared state counted once)@."
@@ -1059,7 +1054,7 @@ let listen =
           "Serve live OpenMetrics snapshots while the run is in flight: \
            $(b,PORT), $(b,HOST:PORT) (port 0 picks a free one) or \
            $(b,unix:PATH). One exposition per sampling-grid point; scrape \
-           with pstream-obs scrape or watch with pstream-top. Without this \
+           with pstream-obs scrape or watch with pstream-obs top. Without this \
            flag the run is byte-identical to an unexported one.")
 
 let exits =

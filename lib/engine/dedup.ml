@@ -77,13 +77,16 @@ let create ?(name = "dedup") ~input ~key () =
     input_names = [ Schema.stream_name input ];
     push = Operator.batch_of_push push;
     flush = (fun () -> []);
-    data_state_size = (fun () -> Hashtbl.length seen);
-    punct_state_size = (fun () -> 0);
-    index_state_size = (fun () -> 0);
-    state_bytes =
+    state =
       (fun () ->
-        Mem_estimate.keyed_table_bytes ~key_width:(List.length key_idxs)
-          ~payload_width:0 ~entries:(Hashtbl.length seen));
+        let entries = Hashtbl.length seen in
+        {
+          Operator.no_state with
+          data = entries;
+          bytes =
+            Mem_estimate.keyed_table_bytes ~key_width:(List.length key_idxs)
+              ~payload_width:0 ~entries;
+        });
     stats = (fun () -> !stats);
     persistence = Operator.Snapshot { save; load };
   }

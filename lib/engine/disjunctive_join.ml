@@ -143,17 +143,11 @@ let create ?(name = "disjunctive_join") ?(policy = Purge_policy.Eager) ~left
     input_names = [ left.name; right.name ];
     push = Operator.batch_of_push push;
     flush;
-    data_state_size =
-      (fun () -> Join_state.size l.state + Join_state.size r.state);
-    punct_state_size =
-      (fun () -> Punct_store.size l.puncts + Punct_store.size r.puncts);
-    index_state_size =
+    state =
       (fun () ->
-        Join_state.index_entries l.state + Join_state.index_entries r.state);
-    state_bytes =
-      (fun () ->
-        (Join_state.mem_stats l.state).Join_state.approx_bytes
-        + (Join_state.mem_stats r.state).Join_state.approx_bytes);
+        Join_state.reading
+          ~puncts:(Punct_store.size l.puncts + Punct_store.size r.puncts)
+          [ l.state; r.state ]);
     stats = (fun () -> !stats);
     persistence = Operator.Volatile "disjunctive join state is not serialized";
   }

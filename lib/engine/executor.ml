@@ -244,33 +244,14 @@ let output_schema c = node_schema c.root
 
 let derived_schemes c = node_schemes c.root
 
-let total_data_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.data_state_size ())
-    0 c.all_ops
+let total c =
+  Operator.sum_states
+    (List.map (fun (op : Operator.t) -> op.state ()) c.all_ops)
 
-let total_punct_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.punct_state_size ())
-    0 c.all_ops
-
-let total_index_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.index_state_size ())
-    0 c.all_ops
-
-let total_state_bytes c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.state_bytes ())
-    0 c.all_ops
-
-type breakdown = Grid.breakdown = {
-  op_name : string;
-  data : int;
-  puncts : int;
-  index : int;
-  bytes : int;
-}
+let total_data_state c = (total c).data
+let total_punct_state c = (total c).puncts
+let total_index_state c = (total c).index
+let total_state_bytes c = (total c).bytes
 
 let part c = { Grid.ops = c.all_ops; unreachable = unreachable_inputs c }
 let state_breakdown c = Grid.breakdown [ part c ]
@@ -369,7 +350,7 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
     elements =
   let telemetry = c.cfg.Config.telemetry in
   let contract = c.cfg.Config.contract in
-  let grid = Grid.start ?exporter ~sample_every ~label telemetry in
+  let grid = Grid.start ?exporter ~label telemetry in
   let parts = [ part c ] in
   let outputs = ref [] in
   let emitted = ref 0 in

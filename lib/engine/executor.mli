@@ -130,35 +130,19 @@ val run :
   Streams.Element.t Seq.t ->
   result
 
-(** [total_data_state c] / [total_punct_state c] — current stored tuples /
-    punctuations across all operators. *)
+(** The tree's {!Operator.state} readings summed over its operators: stored
+    tuples, stored punctuations, secondary-index entries (O(stored tuples)
+    while purging maintains the indexes) and approximate resident bytes. *)
 val total_data_state : compiled -> int
 
-(** [total_index_state c] — secondary-index entries across all operators;
-    stays O({!total_data_state}) now that purging maintains the indexes. *)
+val total_punct_state : compiled -> int
 val total_index_state : compiled -> int
-
-(** [total_state_bytes c] — approximate resident bytes of all join states
-    (see {!Join_state.mem_stats}). *)
 val total_state_bytes : compiled -> int
 
-val total_punct_state : compiled -> int
-
-(** Per-operator state snapshot: stored tuples, stored punctuations,
-    secondary-index entries and approximate resident bytes — the columns a
-    leak diagnosis needs (an index column diverging from data is exactly
-    the historical leak shape). *)
-type breakdown = Grid.breakdown = {
-  op_name : string;
-  data : int;
-  puncts : int;
-  index : int;
-  bytes : int;
-}
-
-(** [state_breakdown c] — one {!breakdown} per operator, bottom-up. The
-    quickest way to see *which* operator of a plan is the one leaking. *)
-val state_breakdown : compiled -> breakdown list
+(** [state_breakdown c] — each operator's name and reading, bottom-up. The
+    quickest way to see *which* operator of a plan is the one leaking (an
+    index column diverging from data is the historical leak shape). *)
+val state_breakdown : compiled -> (string * Operator.state) list
 
 (** [output_hash outputs] — hex digest of the {e multiset} of data tuples
     in [outputs] (sorted renderings, so emission order is irrelevant;

@@ -1,13 +1,5 @@
 type part = { ops : Operator.t list; unreachable : string -> string list }
 
-type breakdown = {
-  op_name : string;
-  data : int;
-  puncts : int;
-  index : int;
-  bytes : int;
-}
-
 (* Every operator name with the operators carrying it, in first-seen
    order, tagged with the first part that holds it (whose diagnosis is
    every shard's: the shards compile one plan). *)
@@ -28,14 +20,9 @@ let by_name parts =
   List.rev_map (fun name -> (name, Hashtbl.find groups name)) !order
 
 let row (name, (_, ops)) =
-  let sum f = List.fold_left (fun acc op -> acc + f op) 0 ops in
-  {
-    op_name = name;
-    data = sum (fun (op : Operator.t) -> op.data_state_size ());
-    puncts = sum (fun (op : Operator.t) -> op.punct_state_size ());
-    index = sum (fun (op : Operator.t) -> op.index_state_size ());
-    bytes = sum (fun (op : Operator.t) -> op.state_bytes ());
-  }
+  ( name,
+    Operator.sum_states (List.map (fun (op : Operator.t) -> op.state ()) ops)
+  )
 
 let breakdown parts = List.map row (by_name parts)
 
@@ -50,7 +37,7 @@ type t = {
   mutable prev_gc : Gc.stat;
 }
 
-let start ?exporter ?watchdog ?registry ~sample_every ~label telemetry =
+let start ?exporter ?watchdog ?registry ~label telemetry =
   if Telemetry.enabled telemetry then begin
     Telemetry.set_clock telemetry 0;
     Telemetry.emit telemetry (Obs.Event.Run_start { tick = 0; label })
@@ -62,7 +49,7 @@ let start ?exporter ?watchdog ?registry ~sample_every ~label telemetry =
     exporter;
     registry =
       Option.value registry ~default:(fun () -> Telemetry.registry telemetry);
-    metrics = Metrics.create ~sample_every ();
+    metrics = Metrics.create ();
     watched = Hashtbl.create 8;
     prev_snapshot = None;
     prev_gc = Gc.quick_stat ();
@@ -112,26 +99,25 @@ let record_gc g =
 let record g ~final ~tick ~emitted parts =
   let groups = by_name parts in
   let rows = List.map row groups in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let data_state = total (fun r -> r.data)
-  and punct_state = total (fun r -> r.puncts)
-  and index_state = total (fun r -> r.index)
-  and state_bytes = total (fun r -> r.bytes) in
+  let total = Operator.sum_states (List.map snd rows) in
+  let data_state = total.data
+  and punct_state = total.puncts
+  and index_state = total.index
+  and state_bytes = total.bytes in
   (if final then Metrics.flush else Metrics.force)
     g.metrics ~tick ~data_state ~punct_state ~index_state ~state_bytes
     ~emitted ();
   let tel = g.telemetry in
   if Telemetry.enabled tel then begin
     List.iter
-      (fun r ->
+      (fun (name, (st : Operator.state)) ->
         let set suffix v =
-          Telemetry.set_gauge ~agg:Obs.Counters.Sum tel
-            (r.op_name ^ "." ^ suffix) v
+          Telemetry.set_gauge ~agg:Obs.Counters.Sum tel (name ^ "." ^ suffix) v
         in
-        set "data_state" r.data;
-        set "punct_state" r.puncts;
-        set "index_state" r.index;
-        set "state_bytes" r.bytes)
+        set "data_state" st.data;
+        set "punct_state" st.puncts;
+        set "index_state" st.index;
+        set "state_bytes" st.bytes)
       rows;
     record_gc g;
     Telemetry.emit tel
@@ -144,12 +130,12 @@ let record g ~final ~tick ~emitted parts =
      purge-unreachable input can leak from the start and is watched from
      the start. *)
   List.iter2
-    (fun (_, ((p : part), _)) r ->
-      let unreachable = p.unreachable r.op_name in
-      if r.puncts > 0 || unreachable <> [] then
-        Hashtbl.replace g.watched r.op_name ();
-      if Hashtbl.mem g.watched r.op_name then
-        observe g ~tick ~op:r.op_name ~size:r.data ~unreachable)
+    (fun (_, ((p : part), _)) (name, (st : Operator.state)) ->
+      let unreachable = p.unreachable name in
+      if st.puncts > 0 || unreachable <> [] then
+        Hashtbl.replace g.watched name ();
+      if Hashtbl.mem g.watched name then
+        observe g ~tick ~op:name ~size:st.data ~unreachable)
     groups rows
 
 let sample g ~tick ~emitted parts = record g ~final:false ~tick ~emitted parts
@@ -222,7 +208,7 @@ let report ~meta ~registry ~alarms parts metrics =
   let operators =
     List.map
       (fun ((name, ((p : part), ops)) as group) ->
-        let r = row group in
+        let _, (st : Operator.state) = row group in
         {
           Obs.Report.name;
           inputs = (List.hd ops : Operator.t).input_names;
@@ -234,10 +220,10 @@ let report ~meta ~registry ~alarms parts metrics =
                  ops);
           state =
             [
-              ("data", r.data);
-              ("puncts", r.puncts);
-              ("index", r.index);
-              ("bytes", r.bytes);
+              ("data", st.data);
+              ("puncts", st.puncts);
+              ("index", st.index);
+              ("bytes", st.bytes);
             ];
         })
       (by_name parts)

@@ -3,7 +3,8 @@
 
     Theorem 1's bounded-state guarantee is visible at run time only here.
     At each grid point the executor hands over its operators as {!part}s
-    and the grid computes the state totals once, then records from them
+    and the grid reads each operator's {!Operator.state} once, then
+    records from the readings
     the {!Metrics} sample, the per-operator state gauges
     ([<op>.data_state], [.punct_state], [.index_state], [.state_bytes]),
     the whole-process GC deltas ([gc_minor_words] …, [gc_heap_words]),
@@ -30,33 +31,22 @@ type part = {
           the static diagnosis attached to alarms and report entries *)
 }
 
-(** Per-operator state: stored tuples, stored punctuations,
-    secondary-index entries and approximate resident bytes. *)
-type breakdown = {
-  op_name : string;
-  data : int;
-  puncts : int;
-  index : int;
-  bytes : int;
-}
-
-(** [breakdown parts] — one entry per operator name, summed over the parts
-    that carry it, in first-seen order. *)
-val breakdown : part list -> breakdown list
+(** [breakdown parts] — each operator name with its {!Operator.state}
+    reading summed over the parts that carry it, in first-seen order. *)
+val breakdown : part list -> (string * Operator.state) list
 
 type t
 
-(** [start ?exporter ?watchdog ?registry ~sample_every ~label telemetry]
-    — open a run's grid. [telemetry] receives the [Run_start]/[Sample]/
-    [Alarm]/[Run_end] events, the state gauges and the GC counters when it
-    is enabled. [watchdog] defaults to [telemetry]'s; it is observed even
-    under a disabled handle. [registry] (default [telemetry]'s) is what
-    {!publish} renders to [exporter]. *)
+(** [start ?exporter ?watchdog ?registry ~label telemetry] — open a run's
+    grid. [telemetry] receives the [Run_start]/[Sample]/[Alarm]/[Run_end]
+    events, the state gauges and the GC counters when it is enabled.
+    [watchdog] defaults to [telemetry]'s; it is observed even under a
+    disabled handle. [registry] (default [telemetry]'s) is what {!publish}
+    renders to [exporter]. *)
 val start :
   ?exporter:Obs.Exporter.t ->
   ?watchdog:Obs.Watchdog.t ->
   ?registry:(unit -> Obs.Registry.t) ->
-  sample_every:int ->
   label:string ->
   Telemetry.t ->
   t

@@ -174,14 +174,17 @@ let create ?(name = "groupby") ~input ~group_by ~aggregate () =
     input_names = [ Schema.stream_name input ];
     push = Operator.batch_of_push push;
     flush = (fun () -> []);
-    data_state_size = (fun () -> Hashtbl.length groups);
-    punct_state_size = (fun () -> 0);
-    index_state_size = (fun () -> 0);
-    state_bytes =
+    state =
       (fun () ->
-        (* key values plus the one accumulator cell per group *)
-        Mem_estimate.keyed_table_bytes ~key_width:(List.length key_idxs)
-          ~payload_width:1 ~entries:(Hashtbl.length groups));
+        let entries = Hashtbl.length groups in
+        {
+          Operator.no_state with
+          data = entries;
+          (* key values plus the one accumulator cell per group *)
+          bytes =
+            Mem_estimate.keyed_table_bytes ~key_width:(List.length key_idxs)
+              ~payload_width:1 ~entries;
+        });
     stats = (fun () -> !stats);
     persistence = Operator.Snapshot { save; load };
   }

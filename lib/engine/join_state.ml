@@ -1,32 +1,26 @@
 open Relational
 
-(* Buckets of a generic (non-Int) index, keyed by one attribute value. *)
+(* The one key table of every index: buckets keyed by the indexed
+   attribute's value. An [Int] key hashes as the native int, which
+   allocates nothing; [Value.hash] boxes a pair for it and stays as it
+   is, because [Shard_router.owner] places keys by it.
+
+   Null join keys are never stored and probing with a Null returns
+   nothing: the table's equality (via [Value.compare]) would otherwise
+   match Null = Null while [Predicate.eval] (via [Value.equal]) rejects
+   it, making the answer depend on which atom the probe order happened to
+   pick as the hash key. SQL semantics — a null key matches nothing — is
+   the one both paths can agree on (see {!Value.compare}). *)
 module KeyTbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal a b = Value.compare a b = 0
-  let hash = Value.hash
+  let hash = function Value.Int k -> Hashtbl.hash k | v -> Value.hash v
 end)
-
-(* Bucket storage per index. Every index is on one attribute. The generic
-   representation keys buckets by the raw [Value.t]; the specialized one
-   unboxes an Int-typed attribute so the hot probe path hashes a native
-   int. Chosen once at index-build time from the schema's attribute type.
-
-   Null join keys are never stored in either representation and probing
-   with a Null returns nothing: [KeyTbl]'s equality (via [Value.compare])
-   would otherwise match Null = Null while [Predicate.eval] (via
-   [Value.equal]) rejects it, making the answer depend on which atom the
-   probe order happened to pick as the hash key. SQL semantics — a null
-   key matches nothing — is the one both paths can agree on (see
-   {!Value.compare}). *)
-type buckets =
-  | Generic of int list ref KeyTbl.t
-  | Int1 of (int, int list ref) Hashtbl.t
 
 type index = {
   attr : int;
-  buckets : buckets;
+  buckets : int list ref KeyTbl.t;
   mutable entries : int;  (** total ids across all buckets (kept exact) *)
 }
 
@@ -50,21 +44,15 @@ type mem_stats = {
 let create schema =
   { schema; live = Hashtbl.create 64; indexes = []; next_id = 0 }
 
+let new_index attr = { attr; buckets = KeyTbl.create 64; entries = 0 }
+
 let index_insert (idx : index) id tup =
-  match (idx.buckets, Tuple.get tup idx.attr) with
-  | Int1 tbl, Value.Int k ->
-      (match Hashtbl.find_opt tbl k with
+  match Tuple.get tup idx.attr with
+  | Value.Null -> ()
+  | key ->
+      (match KeyTbl.find_opt idx.buckets key with
       | Some ids -> ids := id :: !ids
-      | None -> Hashtbl.add tbl k (ref [ id ]));
-      idx.entries <- idx.entries + 1
-  | _, Value.Null | Int1 _, _ ->
-      (* Null (or an out-of-type value, impossible for validated tuples):
-         not indexable, the tuple can never be a probe hit. *)
-      ()
-  | Generic tbl, key ->
-      (match KeyTbl.find_opt tbl key with
-      | Some ids -> ids := id :: !ids
-      | None -> KeyTbl.add tbl key (ref [ id ]));
+      | None -> KeyTbl.add idx.buckets key (ref [ id ]));
       idx.entries <- idx.entries + 1
 
 let insert ?tick t tup =
@@ -80,50 +68,32 @@ let insert ?tick t tup =
    one pass over the affected buckets, emptied buckets are deleted so the
    key table cannot accumulate keys the stream will never repeat. *)
 let remove_from_indexes (t : t) victims =
-  if victims <> [] then
-    match t.indexes with
-    | [] -> ()
-    | indexes ->
-        let dead = Hashtbl.create (2 * List.length victims) in
-        List.iter (fun (id, _) -> Hashtbl.replace dead id ()) victims;
-        let compact idx remove ids =
-          let keep = List.filter (fun id -> not (Hashtbl.mem dead id)) !ids in
-          idx.entries <- idx.entries - (List.length !ids - List.length keep);
-          if keep = [] then remove () else ids := keep
-        in
+  if victims <> [] && t.indexes <> [] then begin
+    let dead = Hashtbl.create (2 * List.length victims) in
+    List.iter (fun (id, _) -> Hashtbl.replace dead id ()) victims;
+    List.iter
+      (fun (idx : index) ->
+        let touched = KeyTbl.create 16 in
         List.iter
-          (fun (idx : index) ->
-            match idx.buckets with
-            | Int1 tbl ->
-                let touched = Hashtbl.create 16 in
-                List.iter
-                  (fun (_, tup) ->
-                    match Tuple.get tup idx.attr with
-                    | Value.Int k -> Hashtbl.replace touched k ()
-                    | _ -> ())
-                  victims;
-                Hashtbl.iter
-                  (fun k () ->
-                    match Hashtbl.find_opt tbl k with
-                    | None -> ()
-                    | Some ids ->
-                        compact idx (fun () -> Hashtbl.remove tbl k) ids)
-                  touched
-            | Generic tbl ->
-                let touched = KeyTbl.create 16 in
-                List.iter
-                  (fun (_, tup) ->
-                    let key = Tuple.get tup idx.attr in
-                    if not (Value.is_null key) then KeyTbl.replace touched key ())
-                  victims;
-                KeyTbl.iter
-                  (fun key () ->
-                    match KeyTbl.find_opt tbl key with
-                    | None -> ()
-                    | Some ids ->
-                        compact idx (fun () -> KeyTbl.remove tbl key) ids)
-                  touched)
-          indexes
+          (fun (_, tup) ->
+            let key = Tuple.get tup idx.attr in
+            if not (Value.is_null key) then KeyTbl.replace touched key ())
+          victims;
+        KeyTbl.iter
+          (fun key () ->
+            match KeyTbl.find_opt idx.buckets key with
+            | None -> ()
+            | Some ids ->
+                let keep =
+                  List.filter (fun id -> not (Hashtbl.mem dead id)) !ids
+                in
+                idx.entries <-
+                  idx.entries - (List.length !ids - List.length keep);
+                if keep = [] then KeyTbl.remove idx.buckets key
+                else ids := keep)
+          touched)
+      t.indexes
+  end
 
 let remove_victims t victims =
   List.iter (fun (id, _) -> Hashtbl.remove t.live id) victims;
@@ -163,26 +133,26 @@ let evict_oldest t ~count =
 let size t = Hashtbl.length t.live
 let insertions t = t.next_id
 
-let buckets_for (schema : Schema.t) attr =
-  if (Schema.attr_at schema attr).Schema.ty = Value.TInt then
-    Int1 (Hashtbl.create 64)
-  else Generic (KeyTbl.create 64)
-
 let find_index (t : t) ~attr = List.find_opt (fun i -> i.attr = attr) t.indexes
 
 let index_on t ~attr =
   match find_index t ~attr with
   | Some idx -> idx
   | None ->
-      let idx = { attr; buckets = buckets_for t.schema attr; entries = 0 } in
+      let idx = new_index attr in
       Hashtbl.iter (fun id (_, tup) -> index_insert idx id tup) t.live;
       t.indexes <- idx :: t.indexes;
       idx
 
-(* The live entries of bucket [ids], in bucket order. Purge maintains the
-   indexes eagerly, so every id should be live; a dead one is swept here,
-   and only then is the id list rewritten (an emptied bucket is removed). *)
-let live_entries (t : t) (idx : index) remove ids =
+(* [v]'s bucket; a Null is never stored, so it matches nothing. *)
+let bucket (idx : index) v =
+  match v with Value.Null -> None | v -> KeyTbl.find_opt idx.buckets v
+
+(* The live entries of [key]'s bucket [ids], in bucket order. Purge
+   maintains the indexes eagerly, so every id should be live; a dead one
+   is swept here, and only then is the id list rewritten (an emptied
+   bucket is removed). *)
+let live_entries (t : t) (idx : index) key ids =
   let dead = ref 0 in
   let[@tail_mod_cons] rec live = function
     | [] -> []
@@ -196,38 +166,18 @@ let live_entries (t : t) (idx : index) remove ids =
   let entries = live !ids in
   if !dead > 0 then begin
     idx.entries <- idx.entries - !dead;
-    if entries = [] then remove ()
+    if entries = [] then KeyTbl.remove idx.buckets key
     else ids := List.filter (Hashtbl.mem t.live) !ids
   end;
   entries
 
 let probe_handle (t : t) (idx : index) v =
-  match (idx.buckets, v) with
-  | _, Value.Null -> []
-  | Int1 tbl, Value.Int k -> (
-      match Hashtbl.find_opt tbl k with
-      | None -> []
-      | Some ids -> live_entries t idx (fun () -> Hashtbl.remove tbl k) ids)
-  | Int1 _, _ ->
-      (* probing an Int-typed column with a non-Int value: by typing it
-         cannot be stored here, so there is nothing to match *)
-      []
-  | Generic tbl, v -> (
-      match KeyTbl.find_opt tbl v with
-      | None -> []
-      | Some ids -> live_entries t idx (fun () -> KeyTbl.remove tbl v) ids)
+  match bucket idx v with None -> [] | Some ids -> live_entries t idx v ids
 
 (* Id-level probe for the incremental purge: the ids of the live tuples in
    [v]'s bucket, with their tuples. *)
 let probe_ids (t : t) (idx : index) v =
-  let ids =
-    match idx.buckets, v with
-    | _, Value.Null -> None
-    | Int1 tbl, Value.Int k -> Hashtbl.find_opt tbl k
-    | Int1 _, _ -> None
-    | Generic tbl, v -> KeyTbl.find_opt tbl v
-  in
-  match ids with
+  match bucket idx v with
   | None -> []
   | Some ids ->
       List.filter_map
@@ -299,9 +249,7 @@ let write_snapshot b (t : t) =
     (List.map (fun (idx : index) -> [ idx.attr ]) t.indexes)
 
 let clear_index (idx : index) =
-  (match idx.buckets with
-  | Int1 tbl -> Hashtbl.reset tbl
-  | Generic tbl -> KeyTbl.reset tbl);
+  KeyTbl.reset idx.buckets;
   idx.entries <- 0
 
 (* In-place restore: compiled probe programs hold resolved {!handle}s into
@@ -343,9 +291,7 @@ let read_snapshot (t : t) r =
   List.iter
     (fun attr ->
       if find_index t ~attr = None then
-        t.indexes <-
-          { attr; buckets = buckets_for t.schema attr; entries = 0 }
-          :: t.indexes)
+        t.indexes <- new_index attr :: t.indexes)
     index_attrs;
   List.iter
     (fun (id, tick, tup) ->
@@ -355,38 +301,55 @@ let read_snapshot (t : t) r =
 
 (* --- memory accounting ------------------------------------------------- *)
 
-let index_entries (t : t) =
-  List.fold_left (fun acc idx -> acc + idx.entries) 0 t.indexes
-
-let buckets_in = function
-  | Int1 tbl -> Hashtbl.length tbl
-  | Generic tbl -> KeyTbl.length tbl
-
-let bucket_count (t : t) =
-  List.fold_left (fun acc (idx : index) -> acc + buckets_in idx.buckets) 0 t.indexes
-
 let mem_stats (t : t) =
   let live_tuples = Hashtbl.length t.live in
+  let index_entries, buckets =
+    List.fold_left
+      (fun (e, b) (idx : index) ->
+        (e + idx.entries, b + KeyTbl.length idx.buckets))
+      (0, 0) t.indexes
+  in
   (* Per live tuple: the (tick, tuple) pair, the tuple block and one boxed
      value per attribute, plus a hash-table slot. Per index entry: a list
      cell. Per bucket: the ref, the key list and its boxed values, plus a
      table slot. A deliberate estimate ({!Mem_estimate}) — the point is the
      trend, not the exact byte. *)
-  let tuple_bytes = Mem_estimate.tuple_bytes t.schema in
-  let entry_bytes = Mem_estimate.list_cell_bytes in
-  let buckets = bucket_count t in
-  let bucket_bytes (idx : index) =
-    Mem_estimate.table_entry_bytes ~width:1 * buckets_in idx.buckets
-  in
   let approx_bytes =
-    (live_tuples * tuple_bytes)
-    + (index_entries t * entry_bytes)
-    + List.fold_left (fun acc idx -> acc + bucket_bytes idx) 0 t.indexes
+    (live_tuples * Mem_estimate.tuple_bytes t.schema)
+    + (index_entries * Mem_estimate.list_cell_bytes)
+    + (buckets * Mem_estimate.table_entry_bytes ~width:1)
   in
   {
     live_tuples;
-    index_entries = index_entries t;
+    index_entries;
     buckets;
     indexes = List.length t.indexes;
     approx_bytes;
   }
+
+let reading ~puncts states =
+  List.fold_left
+    (fun (r : Operator.state) s ->
+      let m = mem_stats s in
+      {
+        r with
+        data = r.data + m.live_tuples;
+        index = r.index + m.index_entries;
+        bytes = r.bytes + m.approx_bytes;
+      })
+    { Operator.no_state with puncts }
+    states
+
+(* Degraded mode's emergency eviction: a quarter of each state, oldest
+   first ({!evict_oldest}). *)
+let shed states =
+  let bytes () =
+    List.fold_left (fun acc s -> acc + (mem_stats s).approx_bytes) 0 states
+  in
+  let before = bytes () in
+  let victims =
+    List.fold_left
+      (fun acc s -> acc + evict_oldest s ~count:((size s + 3) / 4))
+      0 states
+  in
+  (victims, max 0 (before - bytes ()))

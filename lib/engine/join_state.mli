@@ -1,12 +1,15 @@
 (** A join state [Υ_S]: the stored tuples of one input of a join operator,
     with single-attribute hash indexes built on demand (the hash tables of
-    the symmetric hash join / MJoin algorithms the paper assumes).
+    the symmetric hash join / MJoin algorithms the paper assumes). Every
+    index keeps its buckets in one table keyed by the attribute's
+    [Value.t], whatever the attribute's type.
 
     Purging maintains the secondary indexes eagerly: removing a tuple also
     removes its id from every index bucket, and a bucket that empties is
     deleted from its key table. Total operator memory — not just the live
     tuple count — is therefore O(live tuples), which is what Theorem 1's
-    bounded-state guarantee is about. {!mem_stats} exposes the accounting.
+    bounded-state guarantee is about. {!mem_stats} exposes the accounting,
+    and {!reading} turns it into a join operator's {!Operator.state}.
 
     Null join keys follow SQL semantics: a tuple whose key attribute is
     [Value.Null] is never indexed, and probing with a Null value returns
@@ -15,11 +18,7 @@
     predicates use [Value.equal] (which rejects Null = Null) — skipping
     nulls at the index boundary is what keeps the two paths consistent, so
     the answer no longer depends on which atom the probe order uses as the
-    hash key.
-
-    An index on an Int-typed attribute — the common shape for equi-joins
-    over synthetic and integer-keyed workloads — is specialized at
-    index-build time to a native [(int, _) Hashtbl.t]. *)
+    hash key. *)
 
 type t
 
@@ -29,10 +28,11 @@ type t
 type handle
 
 (** Memory accounting for one join state. [index_entries] counts tuple ids
-    across all buckets of all indexes; [buckets] counts non-empty buckets;
-    [approx_bytes] is a word-counting estimate of the resident size (tuples
-    + index cells + bucket keys), meant for trend analysis rather than
-    byte-exact measurement. *)
+    across all buckets of all indexes (with eager index maintenance,
+    [live_tuples] times the number of indexes, less Null keys); [buckets]
+    counts non-empty buckets; [approx_bytes] is a word-counting estimate
+    of the resident size (tuples + index cells + bucket keys), meant for
+    trend analysis rather than byte-exact measurement. *)
 type mem_stats = {
   live_tuples : int;
   index_entries : int;
@@ -111,14 +111,20 @@ val purge_if : t -> (Relational.Tuple.t -> bool) -> int
     (punctuation-propagation drain test). *)
 val exists_matching : t -> Streams.Punctuation.t -> bool
 
-(** [index_entries t] — tuple ids stored across all index buckets. With
-    eager index maintenance this is [size t * number of indexes]. *)
-val index_entries : t -> int
-
-(** [bucket_count t] — non-empty hash buckets across all indexes. *)
-val bucket_count : t -> int
-
 val mem_stats : t -> mem_stats
+
+(** [reading ~puncts states] — the {!Operator.state} of a join operator
+    whose data lives in [states] and whose punctuation stores hold
+    [puncts] entries: [states]' live tuples, index entries and
+    approximate bytes, summed. *)
+val reading : puncts:int -> t list -> Operator.state
+
+(** [shed states] — degraded mode's emergency eviction, the one every
+    join operator registers with {!Contract.register_shedder}: drops the
+    oldest quarter (rounded up) of each state by {!evict_oldest}'s order,
+    so a sharded run and its recovery replay shed the same tuples. Returns
+    the victims and the approximate bytes freed. *)
+val shed : t list -> int * int
 
 (** Versioned binary serialization ({!Streams.Wire}) for checkpointing.
     [write_snapshot] captures the live entries (with insertion ids and

@@ -7,9 +7,9 @@ type sample = {
   emitted : int;
 }
 
-type t = { sample_every : int; mutable samples : sample list (* reversed *) }
+type t = { mutable samples : sample list (* reversed *) }
 
-let create ?(sample_every = 100) () = { sample_every; samples = [] }
+let create () = { samples = [] }
 
 let force t ~tick ~data_state ~punct_state ?(index_state = 0)
     ?(state_bytes = 0) ~emitted () =
@@ -17,17 +17,9 @@ let force t ~tick ~data_state ~punct_state ?(index_state = 0)
     { tick; data_state; punct_state; index_state; state_bytes; emitted }
     :: t.samples
 
-let observe t ~tick ~data_state ~punct_state ?(index_state = 0)
-    ?(state_bytes = 0) ~emitted () =
-  if tick mod t.sample_every = 0 then
-    force t ~tick ~data_state ~punct_state ~index_state ~state_bytes ~emitted
-      ()
-
-(* Ticks start at 1, so a run shorter than [sample_every] never lands on the
-   sampling grid: without a flush the series would be empty and final/peak_*
-   would mislead. [flush] records the closing sample exactly once — a
-   same-tick sample from [observe] is replaced (a final purge round may
-   have shrunk the state since), never duplicated. *)
+(* [flush] records the closing sample exactly once: a same-tick grid point
+   is replaced (a final purge round may have shrunk the state since),
+   never duplicated. *)
 let flush t ~tick ~data_state ~punct_state ?(index_state = 0)
     ?(state_bytes = 0) ~emitted () =
   (match t.samples with

@@ -2,18 +2,20 @@
 
     The operational content of the paper's safety notion is visible here: a
     safe plan's [data_state] series plateaus, an unsafe one's grows without
-    bound. Since this PR the series also tracks [index_state] (secondary
-    index entries) and [state_bytes] (approximate resident bytes), so a
-    purge path that forgets to clean the indexes shows up as an
-    [index_state] series growing away from [data_state]. Benches print
+    bound. The series also tracks [index_state] (secondary index
+    entries) and [state_bytes] (approximate resident bytes), so a purge
+    path that forgets to clean the indexes shows up as an [index_state]
+    series growing away from [data_state]. Benches print
     these series and `BENCH_bounded_state.json` persists them.
 
-    Sampling contract: ticks are 1-based, and [observe] records only on
-    ticks that are multiples of [sample_every] — a run shorter than
-    [sample_every] records nothing through [observe] alone. Finish every
-    run with [flush] (as {!Grid.finish} does) so the series always carries
-    a closing sample; [final] and the [peak_*] accessors are only
-    meaningful after that. *)
+    Sampling contract: the series holds what {!Grid} records — a [force]d
+    sample at every grid point (ticks are 1-based, multiples of the run's
+    [sample_every]) and one [flush]ed closing sample at end of input,
+    after the final purge round. The closing sample replaces a same-tick
+    grid point, so every run, even one shorter than [sample_every],
+    carries exactly one sample per tick and ends on its closing one;
+    [final] and the [peak_*] accessors are only meaningful after the
+    flush. *)
 
 type sample = {
   tick : int;  (** elements consumed so far *)
@@ -26,22 +28,9 @@ type sample = {
 
 type t
 
-val create : ?sample_every:int -> unit -> t
+val create : unit -> t
 
-(** [observe t ~tick ...] records a sample when [tick] falls on the
-    sampling grid (multiples of [sample_every]; ticks are 1-based). *)
-val observe :
-  t ->
-  tick:int ->
-  data_state:int ->
-  punct_state:int ->
-  ?index_state:int ->
-  ?state_bytes:int ->
-  emitted:int ->
-  unit ->
-  unit
-
-(** [force t ...] records unconditionally. *)
+(** [force t ...] records a grid point. *)
 val force :
   t ->
   tick:int ->
@@ -53,10 +42,10 @@ val force :
   unit ->
   unit
 
-(** [flush t ...] records the closing sample; a same-tick sample recorded
-    by [observe] is replaced rather than duplicated (a duplicate final
-    point would bias {!growth_slope}, and the pre-flush values miss the
-    effect of the final purge round). *)
+(** [flush t ...] records the closing sample; a same-tick sample already
+    recorded is replaced rather than duplicated (a duplicate final point
+    would bias {!growth_slope}, and the pre-flush values miss the effect
+    of the final purge round). *)
 val flush :
   t ->
   tick:int ->

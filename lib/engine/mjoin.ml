@@ -160,31 +160,15 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
   (* The next round re-checks every live tuple: set after a checkpoint
      restore and after a degrade-mode shed, whose removals no round saw. *)
   let full_next = ref false in
-  (* Emergency evictor for degraded mode: shed roughly a quarter of each
-     input's state per round, oldest first by insertion tick — a
-     deterministic order, so a sharded run and its recovery replay shed the
-     same tuples. Shed tuples may silence future matches — that is load
-     shedding's documented trade. *)
+  let states = Array.to_list (Array.map (fun s -> s.state) slots) in
+  (* Degraded mode's emergency evictor. Shed tuples may silence future
+     matches — that is load shedding's documented trade. *)
   (match contract with
   | None -> ()
   | Some c ->
       Contract.register_shedder c ~op:name (fun () ->
-          let bytes () =
-            Array.fold_left
-              (fun acc s ->
-                acc + (Join_state.mem_stats s.state).Join_state.approx_bytes)
-              0 slots
-          in
-          let before = bytes () in
-          let victims =
-            Array.fold_left
-              (fun acc s ->
-                let want = (Join_state.size s.state + 3) / 4 in
-                acc + Join_state.evict_oldest s.state ~count:want)
-              0 slots
-          in
           full_next := true;
-          (victims, max 0 (before - bytes ()))));
+          Join_state.shed states));
 
   (* --- result assembly ---------------------------------------------- *)
   (* Each output tuple is the declared-order concatenation of one tuple
@@ -739,23 +723,14 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     input_names = names;
     push;
     flush;
-    data_state_size =
+    state =
       (fun () ->
-        Array.fold_left (fun acc s -> acc + Join_state.size s.state) 0 slots);
-    punct_state_size =
-      (fun () ->
-        Array.fold_left (fun acc s -> acc + Punct_store.size s.puncts) 0 slots);
-    index_state_size =
-      (fun () ->
-        Array.fold_left
-          (fun acc s -> acc + Join_state.index_entries s.state)
-          0 slots);
-    state_bytes =
-      (fun () ->
-        Array.fold_left
-          (fun acc s ->
-            acc + (Join_state.mem_stats s.state).Join_state.approx_bytes)
-          0 slots);
+        Join_state.reading
+          ~puncts:
+            (Array.fold_left
+               (fun acc s -> acc + Punct_store.size s.puncts)
+               0 slots)
+          states);
     stats =
       (* The store-level conservation counters are folded in on read so the
          hot path stays untouched: arrivals the store rejected count as

@@ -257,7 +257,7 @@ let answer outputs =
 
 let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
   let telemetry = t.config.Executor.Config.telemetry in
-  let grid = Grid.start ?exporter ~sample_every ~label telemetry in
+  let grid = Grid.start ?exporter ~label telemetry in
   let parts = parts t in
   let emitted = ref 0 in
   let acc = Hashtbl.create 8 in

@@ -126,7 +126,7 @@ val register_sources : Contract.t -> t -> unit
 (** [state_breakdown t] — per-operator state grouped by owner: shared
     groups first (owner ["shared:G1"], …), then queries in registry order
     (owner = qid). Shared operators appear exactly once. *)
-val state_breakdown : t -> (string * Executor.breakdown list) list
+val state_breakdown : t -> (string * (string * Operator.state) list) list
 
 (** [answers_meta t per_query] — the report's answer entries: ["queries"]
     (qid, emitted and hash per query, in [per_query] order) and

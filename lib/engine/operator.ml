@@ -84,16 +84,28 @@ type persistence =
   | Volatile of string
   | Snapshot of { save : unit -> string; load : string -> unit }
 
+type state = { data : int; puncts : int; index : int; bytes : int }
+
+let no_state = { data = 0; puncts = 0; index = 0; bytes = 0 }
+
+let sum_states =
+  List.fold_left
+    (fun a b ->
+      {
+        data = a.data + b.data;
+        puncts = a.puncts + b.puncts;
+        index = a.index + b.index;
+        bytes = a.bytes + b.bytes;
+      })
+    no_state
+
 type t = {
   name : string;
   out_schema : Relational.Schema.t;
   input_names : string list;
   push : Streams.Element.t array -> Streams.Element.t list;
   flush : unit -> Streams.Element.t list;
-  data_state_size : unit -> int;
-  punct_state_size : unit -> int;
-  index_state_size : unit -> int;
-  state_bytes : unit -> int;
+  state : unit -> state;
   stats : unit -> stats;
   persistence : persistence;
 }

@@ -1,7 +1,9 @@
 (** The push-based operator interface shared by joins, group-by and
     projection. An operator consumes the elements of its named inputs and
     emits output elements (result tuples and propagated punctuations) whose
-    schema is [out_schema]. *)
+    schema is [out_schema], and answers what it stores in one {!state}
+    reading: the quantity Def 5's safety notion bounds, summed by the
+    sampling grid ({!Grid}) and the executors' totals. *)
 
 type stats = {
   tuples_in : int;
@@ -56,6 +58,26 @@ type persistence =
   | Volatile of string
   | Snapshot of { save : unit -> string; load : string -> unit }
 
+(** An operator's state reading, taken at one instant. Join operators
+    build it with {!Join_state.reading}. *)
+type state = {
+  data : int;  (** stored tuples *)
+  puncts : int;  (** stored punctuations *)
+  index : int;
+      (** entries held by secondary join-state indexes — with eager index
+          maintenance this stays O([data]); a gap between the two is a
+          purge leak *)
+  bytes : int;
+      (** approximate resident bytes of the data state including index
+          structures (trend indicator, not an exact measurement) *)
+}
+
+(** The reading of an operator that stores nothing. *)
+val no_state : state
+
+(** [sum_states l] — the field-wise sum of [l]'s readings. *)
+val sum_states : state list -> state
+
 type t = {
   name : string;
   out_schema : Relational.Schema.t;
@@ -73,15 +95,7 @@ type t = {
           {!batch_of_push}. *)
   flush : unit -> Streams.Element.t list;
       (** run any deferred purge/propagation work (lazy policies) *)
-  data_state_size : unit -> int;
-  punct_state_size : unit -> int;
-  index_state_size : unit -> int;
-      (** entries held by secondary join-state indexes — with eager index
-          maintenance this stays O(data_state_size); a gap between the two
-          is a purge leak *)
-  state_bytes : unit -> int;
-      (** approximate resident bytes of the operator's data state including
-          index structures (trend indicator, not an exact measurement) *)
+  state : unit -> state;  (** what the operator stores now *)
   stats : unit -> stats;
   persistence : persistence;
       (** checkpoint participation; {!Telemetry.wrap_op} passes it

@@ -102,25 +102,7 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
   | None -> ()
   | Some c ->
       Contract.register_shedder c ~op:name (fun () ->
-          let states =
-            [ l.store; l.pending; r.store; r.pending ]
-            |> List.filter (fun s -> Join_state.size s > 0)
-          in
-          let bytes () =
-            List.fold_left
-              (fun acc s ->
-                acc + (Join_state.mem_stats s).Join_state.approx_bytes)
-              0 states
-          in
-          let before = bytes () in
-          let victims =
-            List.fold_left
-              (fun acc s ->
-                let want = (Join_state.size s + 3) / 4 in
-                acc + Join_state.evict_oldest s ~count:want)
-              0 states
-          in
-          (victims, max 0 (before - bytes ()))));
+          Join_state.shed [ l.store; l.pending; r.store; r.pending ]));
   let record_purge ~input ~trigger ~victims =
     if victims > 0 && instrumented then begin
       let tick = Telemetry.now telemetry in
@@ -480,31 +462,23 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
     input_names = [ left.name; right.name ];
     push;
     flush;
-    data_state_size =
+    state =
       (fun () ->
-        List.fold_left
-          (fun acc slot ->
-            acc
-            + Join_state.size (if slot.store_used then slot.store else slot.pending))
-          0 [ l; r ]);
-    punct_state_size =
-      (fun () -> Punct_store.size l.puncts + Punct_store.size r.puncts);
-    index_state_size =
-      (fun () ->
-        List.fold_left
-          (fun acc slot ->
-            acc + Join_state.index_entries slot.store
-            + Join_state.index_entries slot.pending)
-          0 [ l; r ]);
-    state_bytes =
-      (fun () ->
-        List.fold_left
-          (fun acc slot ->
-            acc
-            + (Join_state.mem_stats
-                 (if slot.store_used then slot.store else slot.pending))
-                .Join_state.approx_bytes)
-          0 [ l; r ]);
+        (* A side's tuples live in [store], or in [pending] alone for the
+           anti join's left side; the outer variants' [pending] is a
+           second index over [store]'s tuples, so only its entries count. *)
+        let primary s = if s.store_used then s.store else s.pending in
+        let st =
+          Join_state.reading
+            ~puncts:(Punct_store.size l.puncts + Punct_store.size r.puncts)
+            [ primary l; primary r ]
+        in
+        let second s =
+          if s.store_used then
+            (Join_state.mem_stats s.pending).Join_state.index_entries
+          else 0
+        in
+        { st with index = st.index + second l + second r });
     stats =
       (fun () ->
         let dropped =

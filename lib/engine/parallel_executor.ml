@@ -463,11 +463,9 @@ let parts t =
 
 let state_breakdown t = Grid.breakdown (parts t)
 
-let sum_state t f =
-  List.fold_left (fun acc b -> acc + f b) 0 (state_breakdown t)
-
-let total_data_state t = sum_state t (fun b -> b.Grid.data)
-let total_index_state t = sum_state t (fun b -> b.Grid.index)
+let total t = Operator.sum_states (List.map snd (state_breakdown t))
+let total_data_state t = (total t).data
+let total_index_state t = (total t).index
 
 let alarms t =
   match t.watchdog with Some w -> Obs.Watchdog.alarms w | None -> []
@@ -509,7 +507,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   let grid =
     Grid.start ?exporter ?watchdog:t.watchdog
       ~registry:(fun () -> merged_registry t)
-      ~sample_every ~label t.driver
+      ~label t.driver
   in
   Array.iter
     (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s)))

@@ -246,11 +246,11 @@ val total_index_state : t -> int
 
 (** [state_breakdown t] — per-operator state summed across shards, in the
     sequential operator order. *)
-val state_breakdown : t -> Executor.breakdown list
+val state_breakdown : t -> (string * Operator.state) list
 
 (** [shard_breakdowns t] — one breakdown list per shard, for the
     [--shards] CLI's per-shard table. *)
-val shard_breakdowns : t -> Executor.breakdown list array
+val shard_breakdowns : t -> (string * Operator.state) list array
 
 (** [report ?meta t result] — aggregated run report: operator stats and
     state summed across shards, registries merged ({!Obs.Registry.merged}),

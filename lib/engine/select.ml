@@ -47,10 +47,7 @@ let create ?(name = "select") ~input ~conditions () =
     input_names = [ Schema.stream_name input ];
     push = Operator.batch_of_push push;
     flush = (fun () -> []);
-    data_state_size = (fun () -> 0);
-    punct_state_size = (fun () -> 0);
-    index_state_size = (fun () -> 0);
-    state_bytes = (fun () -> 0);
+    state = (fun () -> Operator.no_state);
     stats = (fun () -> !stats);
     persistence = Operator.Stateless;
   }

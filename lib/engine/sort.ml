@@ -55,10 +55,14 @@ let create ?(name = "sort") ~input ~by () =
         stats :=
           { !stats with tuples_out = !stats.tuples_out + List.length sorted };
         List.map (fun t -> Element.Data t) sorted);
-    data_state_size = (fun () -> List.length !buffer);
-    punct_state_size = (fun () -> 0);
-    index_state_size = (fun () -> 0);
-    state_bytes = (fun () -> List.length !buffer * 8 * (Sys.word_size / 8));
+    state =
+      (fun () ->
+        let n = List.length !buffer in
+        {
+          Operator.no_state with
+          data = n;
+          bytes = n * 8 * (Sys.word_size / 8);
+        });
     stats = (fun () -> !stats);
     persistence = Operator.Volatile "sort buffer is not serialized";
   }

@@ -75,12 +75,15 @@ let create ?(name = "union") ~left ~right () =
     input_names = List.map fst stores;
     push = Operator.batch_of_push push;
     flush = (fun () -> []);
-    data_state_size = (fun () -> 0);
-    punct_state_size =
+    state =
       (fun () ->
-        List.fold_left (fun acc (_, s) -> acc + Punct_store.size s) 0 stores);
-    index_state_size = (fun () -> 0);
-    state_bytes = (fun () -> 0);
+        {
+          Operator.no_state with
+          puncts =
+            List.fold_left
+              (fun acc (_, s) -> acc + Punct_store.size s)
+              0 stores;
+        });
     stats = (fun () -> !stats);
     persistence = Operator.Volatile "union punctuation stores are not serialized";
   }

@@ -148,21 +148,7 @@ let create ?(name = "window_join") ?(telemetry = Telemetry.null) ~window
     input_names = names;
     push;
     flush;
-    data_state_size =
-      (fun () ->
-        List.fold_left (fun acc (_, s) -> acc + Join_state.size s) 0 states);
-    punct_state_size = (fun () -> 0);
-    index_state_size =
-      (fun () ->
-        List.fold_left
-          (fun acc (_, s) -> acc + Join_state.index_entries s)
-          0 states);
-    state_bytes =
-      (fun () ->
-        List.fold_left
-          (fun acc (_, s) ->
-            acc + (Join_state.mem_stats s).Join_state.approx_bytes)
-          0 states);
+    state = (fun () -> Join_state.reading ~puncts:0 (List.map snd states));
     stats = (fun () -> !stats);
     persistence = Operator.Snapshot { save; load };
   }

@@ -162,8 +162,8 @@ let stop t =
     | Tcp _ -> ()
   end
 
-(* Client side: connect, read to EOF. Used by pstream_top / pstream_obs
-   scrape and the CI smoke. *)
+(* Client side: connect, read to EOF. Used by pstream_obs scrape / top
+   and the CI smoke. *)
 let fetch address =
   let resolve () =
     match address with

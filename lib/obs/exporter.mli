@@ -40,5 +40,5 @@ val endpoint : t -> string
 val stop : t -> unit
 
 (** [fetch address] — one scrape: connect, read to EOF. The client used
-    by [pstream_top] and the CI smoke. *)
+    by [pstream-obs scrape] and [top] and the CI smoke. *)
 val fetch : address -> (string, string) result

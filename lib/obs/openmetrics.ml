@@ -169,7 +169,8 @@ let render snap =
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
-(* --- parsing (for pstream_top / the scrape smoke; not a full validator) --- *)
+(* --- parsing (for pstream-obs top and the scrape smoke; not a full
+   validator) --- *)
 
 let parse_labels s =
   (* s is the text between '{' and '}' *)

@@ -160,7 +160,7 @@ echo "== live observability smoke: scrape while running =="
 # Start a long run serving OpenMetrics, poll the endpoint until a mid-run
 # scrape succeeds with all load-bearing families present and every
 # exported family documented in the metric catalog, render one
-# pstream-top frame, then let the run finish cleanly (exit 0).
+# `pstream-obs top` frame, then let the run finish cleanly (exit 0).
 REQUIRE_FAMILIES="--require pstream_state_bytes --require pstream_purge_lag \
   --require pstream_result_latency --require pstream_punct_progress_min \
   --require pstream_punct_progress_max --require pstream_gc_minor_words"
@@ -190,14 +190,14 @@ if ! live_scrape "$SEQ_SOCK" "$OBS_TMP/scrape_seq.txt"; then
   kill "$LIVE_PID" 2>/dev/null || true
   exit 1
 fi
-./_build/default/bin/pstream_top.exe "unix:$SEQ_SOCK" --once \
+./_build/default/bin/pstream_obs.exe top --connect "unix:$SEQ_SOCK" --once \
   > "$OBS_TMP/top_frame.txt" 2>/dev/null || true
 wait "$LIVE_PID" || {
   echo "the exporting sequential run did not exit 0" >&2
   exit 1
 }
 grep -q '^operator' "$OBS_TMP/top_frame.txt" && grep -q '^J1' "$OBS_TMP/top_frame.txt" || {
-  echo "pstream-top did not render an operator row from the live endpoint" >&2
+  echo "pstream-obs top did not render an operator row from the live endpoint" >&2
   exit 1
 }
 

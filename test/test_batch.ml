@@ -45,7 +45,24 @@ let atom_a = Predicate.atom "T1" "A" "T2" "A"
 let atom_b = Predicate.atom "T1" "B" "T2" "B"
 let plan_t = Plan.mjoin [ "T1"; "T2" ]
 
-let null_query preds =
+(* The null cases run once per key type a join-state index keys on: the
+   two input schemas with both attributes of that type, and how an
+   integer becomes a key of it. *)
+let null_key_types =
+  let typed ty key =
+    let schema name =
+      Schema.make ~stream:name
+        [ { Schema.name = "A"; ty }; { Schema.name = "B"; ty } ]
+    in
+    (schema "T1", schema "T2", key)
+  in
+  [
+    (ta, tb, fun i -> Value.Int i);
+    typed Value.TStr (fun i -> Value.Str (Printf.sprintf "k%d" i));
+    typed Value.TFloat (fun i -> Value.Float (float_of_int i +. 0.5));
+  ]
+
+let null_query (ta, tb, _) preds =
   let defs =
     [
       Stream_def.make ta [ Scheme.of_attrs ta [ "A" ] ];
@@ -64,50 +81,58 @@ let vpunct schema bindings =
    Keying the probe on A finds the candidate and must reject it on the B
    check; keying on B must find nothing at all. (3, 3) is the one real
    match. *)
-let null_trace =
+let null_trace (ta, tb, key) =
+  let punct schema i = Punctuation.of_bindings schema [ ("A", key i) ] in
   [
-    Element.Data (vtuple ta [ Value.Int 7; Value.Null ]);
-    Element.Data (vtuple tb [ Value.Int 7; Value.Null ]);
-    Element.Data (vtuple ta [ Value.Int 3; Value.Int 3 ]);
-    Element.Data (vtuple tb [ Value.Int 3; Value.Int 3 ]);
-    Element.Punct (vpunct ta [ ("A", 7) ]);
-    Element.Punct (vpunct tb [ ("A", 7) ]);
-    Element.Punct (vpunct ta [ ("A", 3) ]);
-    Element.Punct (vpunct tb [ ("A", 3) ]);
+    Element.Data (vtuple ta [ key 7; Value.Null ]);
+    Element.Data (vtuple tb [ key 7; Value.Null ]);
+    Element.Data (vtuple ta [ key 3; key 3 ]);
+    Element.Data (vtuple tb [ key 3; key 3 ]);
+    Element.Punct (punct ta 7);
+    Element.Punct (punct tb 7);
+    Element.Punct (punct ta 3);
+    Element.Punct (punct tb 3);
   ]
 
 let test_null_key_matches_nothing () =
-  let run preds =
-    let q = null_query preds in
-    let c = Executor.compile ~config:(Executor.Config.make ~policy:Purge_policy.Eager ()) q plan_t in
-    Executor.run ~sample_every:10 c (List.to_seq null_trace)
-  in
-  let r1 = run [ atom_a; atom_b ] and r2 = run [ atom_b; atom_a ] in
-  let data r = List.filter Element.is_data r.Executor.outputs in
-  check_int "only the non-null pair joins" 1 (List.length (data r1));
-  check_string "key-atom choice cannot change the answer"
-    (Executor.output_hash r1.Executor.outputs)
-    (Executor.output_hash r2.Executor.outputs)
+  List.iter
+    (fun keys ->
+      let run preds =
+        let q = null_query keys preds in
+        let c = Executor.compile ~config:(Executor.Config.make ~policy:Purge_policy.Eager ()) q plan_t in
+        Executor.run ~sample_every:10 c (List.to_seq (null_trace keys))
+      in
+      let r1 = run [ atom_a; atom_b ] and r2 = run [ atom_b; atom_a ] in
+      let data r = List.filter Element.is_data r.Executor.outputs in
+      check_int "only the non-null pair joins" 1 (List.length (data r1));
+      check_string "key-atom choice cannot change the answer"
+        (Executor.output_hash r1.Executor.outputs)
+        (Executor.output_hash r2.Executor.outputs))
+    null_key_types
 
 let test_null_key_sharded_agrees () =
   List.iter
-    (fun preds ->
-      let q = null_query preds in
-      let c = Executor.compile ~config:(Executor.Config.make ~policy:Purge_policy.Eager ()) q plan_t in
-      let sr = Executor.run ~sample_every:10 c (List.to_seq null_trace) in
-      let seq_hash = Executor.output_hash sr.Executor.outputs in
+    (fun keys ->
       List.iter
-        (fun shards ->
-          let pe = Parallel_executor.create ~shards q plan_t in
-          let pr =
-            Parallel_executor.run ~sample_every:10 pe (List.to_seq null_trace)
-          in
-          check_string
-            (Printf.sprintf "null semantics at %d shards" shards)
-            seq_hash
-            (Executor.output_hash pr.Parallel_executor.outputs))
-        [ 2; 3 ])
-    [ [ atom_a; atom_b ]; [ atom_b; atom_a ] ]
+        (fun preds ->
+          let q = null_query keys preds in
+          let trace = null_trace keys in
+          let c = Executor.compile ~config:(Executor.Config.make ~policy:Purge_policy.Eager ()) q plan_t in
+          let sr = Executor.run ~sample_every:10 c (List.to_seq trace) in
+          let seq_hash = Executor.output_hash sr.Executor.outputs in
+          List.iter
+            (fun shards ->
+              let pe = Parallel_executor.create ~shards q plan_t in
+              let pr =
+                Parallel_executor.run ~sample_every:10 pe (List.to_seq trace)
+              in
+              check_string
+                (Printf.sprintf "null semantics at %d shards" shards)
+                seq_hash
+                (Executor.output_hash pr.Parallel_executor.outputs))
+            [ 2; 3 ])
+        [ [ atom_a; atom_b ]; [ atom_b; atom_a ] ])
+    null_key_types
 
 let test_null_key_dead_on_arrival () =
   let op =
@@ -123,7 +148,7 @@ let test_null_key_dead_on_arrival () =
     op.Operator.push [| Element.Data (vtuple ta [ Value.Int 1; Value.Null ]) |]
   in
   check_int "no results from a null-keyed tuple" 0 (List.length out);
-  check_int "never stored" 0 (op.Operator.data_state_size ());
+  check_int "never stored" 0 (op.Operator.state ()).data;
   check_int "counted as purged" 1 (op.Operator.stats ()).Operator.tuples_purged;
   (* a later partner with the same values still finds nothing *)
   let out2 =
@@ -278,7 +303,7 @@ let test_shedder_sheds_oldest_first () =
     for i = 0 to n - 1 do
       ignore (op.Operator.push [| Element.Data (tuple ta [ i; i ]) |])
     done;
-    op.Operator.state_bytes () / 2
+    (op.Operator.state ()).bytes / 2
   in
   let ct =
     Contract.create
@@ -297,11 +322,11 @@ let test_shedder_sheds_oldest_first () =
   done;
   let shed =
     Contract.enforce_budget ct ~telemetry:Telemetry.null ~tick:n
-      ~bytes_now:(fun () -> op.Operator.state_bytes ())
+      ~bytes_now:(fun () -> (op.Operator.state ()).bytes)
       ()
   in
   check_bool "shedding happened" true (shed > 0);
-  let survivors = op.Operator.data_state_size () in
+  let survivors = (op.Operator.state ()).data in
   check_bool "something survived" true (survivors > 0);
   (* probe every key: exactly the newest [survivors] keys may still match *)
   List.iter

@@ -134,16 +134,16 @@ let check_twin_continuation name (op : Operator.t) (twin : Operator.t) suffix =
     (stats_strings op) (stats_strings twin);
   check_int
     (name ^ ": data state agrees")
-    (op.Operator.data_state_size ())
-    (twin.Operator.data_state_size ());
+    (op.Operator.state ()).data
+    (twin.Operator.state ()).data;
   check_int
     (name ^ ": punct state agrees")
-    (op.Operator.punct_state_size ())
-    (twin.Operator.punct_state_size ());
+    (op.Operator.state ()).puncts
+    (twin.Operator.state ()).puncts;
   check_int
     (name ^ ": index state agrees")
-    (op.Operator.index_state_size ())
-    (twin.Operator.index_state_size ())
+    (op.Operator.state ()).index
+    (twin.Operator.state ()).index
 
 let test_mjoin_snapshot_continuation () =
   let q = fig5_query () in
@@ -158,7 +158,7 @@ let test_mjoin_snapshot_continuation () =
   check_bool "prefix produced results" true
     (List.exists Element.is_data mid_outputs);
   check_bool "snapshot taken with live state" true
-    (op.Operator.data_state_size () > 0);
+    ((op.Operator.state ()).data > 0);
   check_twin_continuation "mjoin" op twin suffix
 
 let test_dedup_snapshot_continuation () =

@@ -149,12 +149,12 @@ let test_runtime_purge_needs_every_disjunct () =
   ignore
     (op.Engine.Operator.push
        [| Element.Punct (Punctuation.of_bindings t2 [ ("x", Value.Int 1) ]) |]);
-  check_int "still stored" 1 (op.Engine.Operator.data_state_size ());
+  check_int "still stored" 1 (op.Engine.Operator.state ()).data;
   ignore
     (op.Engine.Operator.push
        [| Element.Punct (Punctuation.of_bindings t2 [ ("y", Value.Int 2) ]) |]);
   check_int "dead once both disjuncts ruled out" 0
-    (op.Engine.Operator.data_state_size ())
+    (op.Engine.Operator.state ()).data
 
 let test_runtime_equals_brute_force () =
   (* random tuples + per-attribute punctuations; compare against a nested
@@ -214,10 +214,10 @@ let test_runtime_bounded_on_rounds () =
              [| Element.Punct
                 (Punctuation.of_bindings schema [ (attr, Value.Int k) ]) |]))
       [ (t1, "a"); (t1, "b"); (t2, "x"); (t2, "y") ];
-    peak := max !peak (op.Engine.Operator.data_state_size ())
+    peak := max !peak (op.Engine.Operator.state ()).data
   done;
   check_bool "bounded" true (!peak <= 4);
-  check_int "drained" 0 (op.Engine.Operator.data_state_size ())
+  check_int "drained" 0 (op.Engine.Operator.state ()).data
 
 let () =
   Alcotest.run "disjunctive"

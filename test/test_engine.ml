@@ -24,7 +24,29 @@ let punct schema bindings =
 (* The state's one index probe on attribute [attr]; the first probe on an
    attribute builds its index. *)
 let probe st ~attr v =
-  Join_state.probe_handle st (Join_state.index_on st ~attr) (Value.Int v)
+  Join_state.probe_handle st (Join_state.index_on st ~attr) v
+
+(* The index cases run once per key type: S1(A, B) on int columns and on
+   str columns, with how an integer becomes a key of each. Every index
+   keeps its buckets in one table, so both must behave alike. *)
+let key_types =
+  let str_s1 =
+    Schema.make ~stream:"S1"
+      [
+        { Schema.name = "A"; ty = Value.TStr };
+        { Schema.name = "B"; ty = Value.TStr };
+      ]
+  in
+  [
+    (s1, fun i -> Value.Int i);
+    (str_s1, fun i -> Value.Str (Printf.sprintf "k%d" i));
+  ]
+
+let on_every_key_type case () =
+  List.iter (fun (schema, key) -> case schema key) key_types
+
+let entries st = (Join_state.mem_stats st).Join_state.index_entries
+let buckets st = (Join_state.mem_stats st).Join_state.buckets
 
 let test_join_state_insert_size () =
   let st = Join_state.create s1 in
@@ -33,30 +55,35 @@ let test_join_state_insert_size () =
   check_int "size" 2 (Join_state.size st);
   check_int "insertions" 2 (Join_state.insertions st)
 
-let test_join_state_probe () =
-  let st = Join_state.create s1 in
-  Join_state.insert st (tuple s1 [ 1; 7 ]);
-  Join_state.insert st (tuple s1 [ 2; 7 ]);
-  Join_state.insert st (tuple s1 [ 3; 8 ]);
+let test_join_state_probe schema key =
+  let row a b = Tuple.make schema [ key a; key b ] in
+  let st = Join_state.create schema in
+  Join_state.insert st (row 1 7);
+  Join_state.insert st (row 2 7);
+  Join_state.insert st (row 3 8);
   check_int "two with B=7" 2
-    (List.length (probe st ~attr:1 7));
+    (List.length (probe st ~attr:1 (key 7)));
   check_int "none with B=9" 0
-    (List.length (probe st ~attr:1 9));
-  Join_state.insert st (tuple s1 [ 4; 7 ]);
+    (List.length (probe st ~attr:1 (key 9)));
+  Join_state.insert st (row 4 7);
   check_int "index sees later insert" 3
-    (List.length (probe st ~attr:1 7));
+    (List.length (probe st ~attr:1 (key 7)));
   check_bool "entries carry insertion ticks, newest first" true
-    (List.map fst (probe st ~attr:1 7) = [ 3; 1; 0 ])
+    (List.map fst (probe st ~attr:1 (key 7)) = [ 3; 1; 0 ]);
+  Join_state.insert st (Tuple.make schema [ key 5; Value.Null ]);
+  check_int "a Null key is never indexed" 4 (entries st);
+  check_int "Null matches nothing" 0
+    (List.length (probe st ~attr:1 Value.Null))
 
 let test_join_state_purge () =
   let st = Join_state.create s1 in
   List.iter (fun b -> Join_state.insert st (tuple s1 [ b; b ])) [ 1; 2; 3; 4 ];
-  ignore (probe st ~attr:1 1);
+  ignore (probe st ~attr:1 (Value.Int 1));
   let removed = Join_state.purge_if st (fun t -> Tuple.get t 0 < Value.Int 3) in
   check_int "removed" 2 removed;
   check_int "left" 2 (Join_state.size st);
   check_int "B=1 gone from index too" 0
-    (List.length (probe st ~attr:1 1))
+    (List.length (probe st ~attr:1 (Value.Int 1)))
 
 let test_join_state_ids_and_matching () =
   let st = Join_state.create s1 in
@@ -89,62 +116,76 @@ let test_join_state_schema_mismatch () =
     (Invalid_argument "Join_state.insert: schema mismatch") (fun () ->
       Join_state.insert st (tuple s2 [ 1; 2 ]))
 
-(* The bounded-state bug this PR fixes: purging must clean the secondary
-   indexes, not just the live table. *)
-let test_join_state_purge_cleans_indexes () =
-  let st = Join_state.create s1 in
-  List.iter (fun b -> Join_state.insert st (tuple s1 [ b; b ])) [ 1; 2; 3; 4 ];
-  ignore (probe st ~attr:1 1);
-  check_int "entries before" 4 (Join_state.index_entries st);
-  check_int "buckets before" 4 (Join_state.bucket_count st);
-  ignore (Join_state.purge_if st (fun t -> Tuple.get t 0 < Value.Int 3));
-  check_int "entries track live" 2 (Join_state.index_entries st);
-  check_int "emptied buckets dropped" 2 (Join_state.bucket_count st);
+(* Purging must clean the secondary indexes, not just the live table:
+   buckets left behind once leaked memory under unique keys while the
+   tuple count stayed flat. *)
+let test_join_state_purge_cleans_indexes schema key =
+  let st = Join_state.create schema in
+  List.iter
+    (fun b -> Join_state.insert st (Tuple.make schema [ key b; key b ]))
+    [ 1; 2; 3; 4 ];
+  ignore (probe st ~attr:1 (key 1));
+  check_int "entries before" 4 (entries st);
+  check_int "buckets before" 4 (buckets st);
+  ignore
+    (Join_state.purge_if st (fun t ->
+         Value.compare (Tuple.get t 0) (key 3) < 0));
+  check_int "entries track live" 2 (entries st);
+  check_int "emptied buckets dropped" 2 (buckets st);
   ignore (Join_state.purge_if st (fun _ -> true));
   let m = Join_state.mem_stats st in
   check_int "no entries left" 0 m.Join_state.index_entries;
   check_int "no buckets left" 0 m.Join_state.buckets;
   check_int "index survives" 1 m.Join_state.indexes
 
-let test_join_state_evict_cleans_indexes () =
-  let st = Join_state.create s1 in
+let test_join_state_evict_cleans_indexes schema key =
+  let st = Join_state.create schema in
   List.iteri
-    (fun i b -> Join_state.insert ~tick:i st (tuple s1 [ b; b ]))
+    (fun i b ->
+      Join_state.insert ~tick:i st (Tuple.make schema [ key b; key b ]))
     [ 1; 2; 3; 4 ];
   (* two indexes on different attrs: both must be maintained *)
-  ignore (probe st ~attr:0 1);
-  ignore (probe st ~attr:1 1);
-  check_int "entries = live x indexes" 8 (Join_state.index_entries st);
+  ignore (probe st ~attr:0 (key 1));
+  ignore (probe st ~attr:1 (key 1));
+  check_int "entries = live x indexes" 8 (entries st);
   check_int "evicted" 3 (Join_state.evict_before st ~tick:3);
-  check_int "entries after evict" 2 (Join_state.index_entries st);
-  check_int "buckets after evict" 2 (Join_state.bucket_count st);
+  check_int "entries after evict" 2 (entries st);
+  check_int "buckets after evict" 2 (buckets st);
   check_int "evict rest" 1 (Join_state.evict_before st ~tick:99);
-  check_int "all buckets dropped" 0 (Join_state.bucket_count st)
+  check_int "all buckets dropped" 0 (buckets st)
 
-let test_join_state_probe_after_purge_no_empty_buckets () =
-  let st = Join_state.create s1 in
-  Join_state.insert st (tuple s1 [ 1; 7 ]);
-  ignore (probe st ~attr:1 7);
+let test_join_state_probe_after_purge_no_empty_buckets schema key =
+  let st = Join_state.create schema in
+  Join_state.insert st (Tuple.make schema [ key 1; key 7 ]);
+  ignore (probe st ~attr:1 (key 7));
   ignore (Join_state.purge_if st (fun _ -> true));
   (* probing purged and never-seen keys must not leave buckets behind *)
   check_int "probe after purge" 0
-    (List.length (probe st ~attr:1 7));
+    (List.length (probe st ~attr:1 (key 7)));
   check_int "probe miss" 0
-    (List.length (probe st ~attr:1 42));
-  check_int "no buckets" 0 (Join_state.bucket_count st);
+    (List.length (probe st ~attr:1 (key 42)));
+  check_int "no buckets" 0 (buckets st);
   (* the index keeps serving correct results after cleanup *)
-  Join_state.insert st (tuple s1 [ 2; 7 ]);
+  Join_state.insert st (Tuple.make schema [ key 2; key 7 ]);
   check_int "reinserted key probes" 1
-    (List.length (probe st ~attr:1 7))
+    (List.length (probe st ~attr:1 (key 7)))
 
-let test_join_state_mem_stats_bounded_under_unique_keys () =
+let test_join_state_mem_stats_bounded_under_unique_keys schema key =
   (* the adversarial pattern in miniature: every key is used once, then
      purged; without index maintenance entries/buckets grow with i *)
-  let st = Join_state.create s1 in
+  let st = Join_state.create schema in
+  let one_tuple_bytes =
+    Engine.Mem_estimate.tuple_bytes schema
+    + Engine.Mem_estimate.list_cell_bytes
+    + Engine.Mem_estimate.table_entry_bytes ~width:1
+  in
   for i = 1 to 500 do
-    Join_state.insert st (tuple s1 [ i; i ]);
-    ignore (probe st ~attr:1 i);
-    ignore (Join_state.purge_if st (fun t -> Tuple.get t 1 = Value.Int i));
+    Join_state.insert st (Tuple.make schema [ key i; key i ]);
+    ignore (probe st ~attr:1 (key i));
+    check_int "one tuple, entry and bucket" one_tuple_bytes
+      (Join_state.mem_stats st).Join_state.approx_bytes;
+    ignore
+      (Join_state.purge_if st (fun t -> Value.equal (Tuple.get t 1) (key i)));
     let m = Join_state.mem_stats st in
     check_bool "entries bounded" true (m.Join_state.index_entries <= 1);
     check_bool "buckets bounded" true (m.Join_state.buckets <= 1)
@@ -270,43 +311,45 @@ let test_purge_policy_due () =
   check_bool "adaptive needs a punctuation" false (due adaptive ~pending:0 ~state:600)
 
 let test_metrics_series_and_slope () =
-  let m = Metrics.create ~sample_every:1 () in
+  let m = Metrics.create () in
   List.iteri
     (fun i st -> Metrics.force m ~tick:i ~data_state:st ~punct_state:0 ~emitted:0 ())
     [ 0; 10; 20; 30; 40; 50 ];
   check_int "peak" 50 (Metrics.peak_data_state m);
   check_bool "positive slope" true (Metrics.growth_slope m > 5.0);
-  let flat = Metrics.create ~sample_every:1 () in
+  let flat = Metrics.create () in
   List.iter
     (fun i -> Metrics.force flat ~tick:i ~data_state:7 ~punct_state:0 ~emitted:0 ())
     [ 0; 1; 2; 3 ];
   check_bool "flat slope" true (Float.abs (Metrics.growth_slope flat) < 0.01)
 
-(* Ticks are 1-based, so a run shorter than sample_every records nothing
-   through observe; flush must land the closing sample exactly once. *)
+(* The closing sample is flush's: it replaces a same-tick grid point,
+   never duplicates it, and a run shorter than sample_every — whose ticks
+   (1-based) never reach a grid point — still records exactly one sample,
+   the closing one. *)
 let test_metrics_flush_contract () =
-  let m = Metrics.create ~sample_every:100 () in
-  for tick = 1 to 5 do
-    Metrics.observe m ~tick ~data_state:tick ~punct_state:0 ~index_state:tick
-      ~emitted:0 ()
-  done;
-  check_int "short run: observe records nothing" 0
-    (List.length (Metrics.samples m));
-  Metrics.flush m ~tick:5 ~data_state:5 ~punct_state:0 ~index_state:5
-    ~emitted:0 ();
-  check_int "flush lands the final sample" 1 (List.length (Metrics.samples m));
-  check_int "peak visible" 5 (Metrics.peak_data_state m);
-  check_int "index peak visible" 5 (Metrics.peak_index_state m);
-  (* a run length on the grid: flush replaces, never duplicates *)
-  let g = Metrics.create ~sample_every:5 () in
-  for tick = 1 to 5 do
-    Metrics.observe g ~tick ~data_state:10 ~punct_state:0 ~emitted:0 ()
-  done;
+  let g = Metrics.create () in
+  Metrics.force g ~tick:5 ~data_state:10 ~punct_state:0 ~emitted:0 ();
   Metrics.flush g ~tick:5 ~data_state:0 ~punct_state:0 ~emitted:0 ();
   check_int "no duplicate final point" 1 (List.length (Metrics.samples g));
   (match Metrics.final g with
   | Some s -> check_int "post-flush value wins" 0 s.Metrics.data_state
-  | None -> Alcotest.fail "expected a final sample")
+  | None -> Alcotest.fail "expected a final sample");
+  let c = Executor.compile (fig5_query ()) (Plan.mjoin [ "S1"; "S2"; "S3" ]) in
+  let short =
+    [
+      Element.Data (tuple s1 [ 1; 7 ]);
+      Element.Data (tuple s2 [ 7; 2 ]);
+      Element.Data (tuple s1 [ 2; 8 ]);
+    ]
+  in
+  let m = (Executor.run ~sample_every:100 c (List.to_seq short)).Executor.metrics in
+  match Metrics.samples m with
+  | [ s ] ->
+      check_int "the closing tick" 3 s.Metrics.tick;
+      check_int "peak visible" 3 (Metrics.peak_data_state m);
+      check_bool "index peak visible" true (Metrics.peak_index_state m >= 3)
+  | l -> Alcotest.failf "short run: expected one closing sample, got %d" (List.length l)
 
 (* The one feeding loop every driver shares: runs never exceed the cap,
    every grid multiple ends one, and a resumed start offsets the ticks. *)
@@ -370,14 +413,14 @@ let test_binary_join_matches () =
         (Tuple.get_named t "S1.A" = Value.Int 1
         && Tuple.get_named t "S2.C" = Value.Int 100)
   | _ -> Alcotest.fail "expected one data element");
-  check_int "both stored" 2 (op.Engine.Operator.data_state_size ())
+  check_int "both stored" 2 (op.Engine.Operator.state ()).data
 
 let test_binary_join_purges_opposite () =
   let op = binary_mjoin () in
   ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 7 ]) |]);
   ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 2; 8 ]) |]);
   ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 7) ]) |]);
-  check_int "one left" 1 (op.Engine.Operator.data_state_size ());
+  check_int "one left" 1 (op.Engine.Operator.state ()).data;
   check_int "purged count" 1 (op.Engine.Operator.stats ()).Engine.Operator.tuples_purged
 
 let test_binary_join_never_loses_results () =
@@ -401,7 +444,7 @@ let test_binary_join_drops_dead_on_arrival () =
   check_int "still emits its matches" 1
     (List.length (List.filter Element.is_data out));
   (* only the S2 tuple remains; the dead S1 arrival was never stored *)
-  check_int "not stored" 1 (op.Engine.Operator.data_state_size ());
+  check_int "not stored" 1 (op.Engine.Operator.state ()).data;
   check_int "counted as purged" 1
     (op.Engine.Operator.stats ()).Engine.Operator.tuples_purged
 
@@ -486,13 +529,13 @@ let test_mjoin_purge_plans () =
 let test_mjoin_chained_purge_runtime () =
   let op = fig5_mjoin () in
   ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 1; 2 ]) |]);
-  check_int "stored" 1 (op.Engine.Operator.data_state_size ());
+  check_int "stored" 1 (op.Engine.Operator.state ()).data;
   (* S2's punctuation alone leaves the chain open through S3 *)
   ignore (op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 2) ]) |]);
-  check_int "still stored" 1 (op.Engine.Operator.data_state_size ());
+  check_int "still stored" 1 (op.Engine.Operator.state ()).data;
   (* S3's punctuation on A=1 completes the chain for the S1 tuple *)
   ignore (op.Engine.Operator.push [| Element.Punct (punct s3 [ ("A", 1) ]) |]);
-  check_int "purged once chain covered" 0 (op.Engine.Operator.data_state_size ())
+  check_int "purged once chain covered" 0 (op.Engine.Operator.state ()).data
 
 let count_data outputs = List.length (List.filter Element.is_data outputs)
 
@@ -613,7 +656,7 @@ let test_groupby_blocks_until_punctuation () =
   | [ Element.Data t ] ->
       check_bool "sum emitted" true (Tuple.get_named t "agg" = Value.Int 15)
   | _ -> Alcotest.fail "expected one group");
-  check_int "group state dropped" 0 (op.Engine.Operator.data_state_size ());
+  check_int "group state dropped" 0 (op.Engine.Operator.state ()).data;
   check_int "punct forwarded" 1 (List.length (List.filter Element.is_punct out))
 
 let test_groupby_count_min_max () =
@@ -638,7 +681,7 @@ let test_groupby_punct_covers_only_its_groups () =
   ignore (op.Engine.Operator.push [| Element.Data (tuple s2 [ 2; 10 ]) |]);
   let out = op.Engine.Operator.push [| Element.Punct (punct s2 [ ("B", 1) ]) |] in
   check_int "one group emitted" 1 (List.length (List.filter Element.is_data out));
-  check_int "one group left" 1 (op.Engine.Operator.data_state_size ())
+  check_int "one group left" 1 (op.Engine.Operator.state ()).data
 
 let test_groupby_rejects_non_numeric () =
   Alcotest.check_raises "non-numeric"
@@ -1080,7 +1123,7 @@ let prop_incremental_purge_matches_full_scan =
         push ();
         let evs = List.rev !events in
         let want = apply (ran_round evs) in
-        purged evs = List.sort compare want && op.Engine.Operator.data_state_size () = live ()
+        purged evs = List.sort compare want && (op.Engine.Operator.state ()).data = live ()
       in
       List.for_all
         (fun e ->
@@ -1112,7 +1155,7 @@ let prop_incremental_purge_matches_full_scan =
       &&
       let s = op.Engine.Operator.stats () in
       s.Engine.Operator.tuples_in
-      = op.Engine.Operator.data_state_size () + s.Engine.Operator.tuples_purged)
+      = (op.Engine.Operator.state ()).data + s.Engine.Operator.tuples_purged)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -1133,18 +1176,18 @@ let () =
       ( "join_state",
         [
           Alcotest.test_case "insert/size" `Quick test_join_state_insert_size;
-          Alcotest.test_case "probe" `Quick test_join_state_probe;
+          Alcotest.test_case "probe" `Quick (on_every_key_type test_join_state_probe);
           Alcotest.test_case "purge" `Quick test_join_state_purge;
           Alcotest.test_case "ids/matching" `Quick test_join_state_ids_and_matching;
           Alcotest.test_case "schema mismatch" `Quick test_join_state_schema_mismatch;
           Alcotest.test_case "purge cleans indexes" `Quick
-            test_join_state_purge_cleans_indexes;
+            (on_every_key_type test_join_state_purge_cleans_indexes);
           Alcotest.test_case "evict cleans indexes" `Quick
-            test_join_state_evict_cleans_indexes;
+            (on_every_key_type test_join_state_evict_cleans_indexes);
           Alcotest.test_case "probe after purge" `Quick
-            test_join_state_probe_after_purge_no_empty_buckets;
+            (on_every_key_type test_join_state_probe_after_purge_no_empty_buckets);
           Alcotest.test_case "mem stats bounded" `Quick
-            test_join_state_mem_stats_bounded_under_unique_keys;
+            (on_every_key_type test_join_state_mem_stats_bounded_under_unique_keys);
         ] );
       ( "punct_store",
         [

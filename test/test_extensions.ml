@@ -290,7 +290,7 @@ let test_window_join_misses_evicted () =
   ignore (op.Engine.Operator.push [| Element.Data (tuple s1 [ 2; 8 ]) |]);
   let out = op.Engine.Operator.push [| Element.Data (tuple s2 [ 7; 9 ]) |] in
   check_int "evicted partner missed" 0 (List.length out);
-  check_int "state bounded" 2 (op.Engine.Operator.data_state_size ())
+  check_int "state bounded" 2 (op.Engine.Operator.state ()).data
 
 let test_window_join_tick_eviction () =
   let op =
@@ -315,7 +315,7 @@ let test_window_join_ignores_punctuations () =
       [| Element.Punct (Punctuation.of_bindings s2 [ ("B", vi 7) ]) |]
   in
   check_int "no output" 0 (List.length out);
-  check_int "nothing purged" 1 (op.Engine.Operator.data_state_size ())
+  check_int "nothing purged" 1 (op.Engine.Operator.state ()).data
 
 let test_window_join_rejects_bad_config () =
   Alcotest.check_raises "non-positive window"
@@ -354,7 +354,7 @@ let test_window_vs_punctuation_on_auction () =
         (fun out -> if Element.is_data out then incr found)
         (wj.Engine.Operator.push [| e |]))
     trace;
-  check_bool "window join bounded" true (wj.Engine.Operator.data_state_size () <= 40);
+  check_bool "window join bounded" true ((wj.Engine.Operator.state ()).data <= 40);
   check_bool "window join lossy" true (!found < exact)
 
 let () =

@@ -380,9 +380,8 @@ let test_shared_state_is_lower () =
   | [ ("shared:G1", ops) ] ->
       check_bool "shared ops named shared:G1/" true
         (List.for_all
-           (fun (b : Executor.breakdown) ->
-             String.length b.Executor.op_name > 10
-             && String.sub b.Executor.op_name 0 10 = "shared:G1/")
+           (fun (name, _) ->
+             String.length name > 10 && String.sub name 0 10 = "shared:G1/")
            ops)
   | other ->
       Alcotest.failf "expected only the shared group to hold state, got %d owners"

@@ -244,7 +244,7 @@ let test_sink_tee () =
 (* Metrics degenerate slopes (satellite: all-same-tick guard) *)
 
 let test_metrics_degenerate_slopes () =
-  let m = Metrics.create ~sample_every:10 () in
+  let m = Metrics.create () in
   check_bool "no samples" true (Metrics.growth_slope m = 0.0);
   Metrics.force m ~tick:10 ~data_state:5 ~punct_state:0 ~emitted:0 ();
   check_bool "one sample" true (Metrics.growth_slope m = 0.0);
@@ -365,10 +365,7 @@ let test_emitted_counted_post_sink () =
       input_names = [];
       push = (fun _ -> []);
       flush = (fun () -> []);
-      data_state_size = (fun () -> 0);
-      punct_state_size = (fun () -> 0);
-      index_state_size = (fun () -> 0);
-      state_bytes = (fun () -> 0);
+      state = (fun () -> Engine.Operator.no_state);
       stats = (fun () -> Engine.Operator.empty_stats);
       persistence = Engine.Operator.Stateless;
     }
@@ -420,11 +417,11 @@ let check_stats_conservation q =
           check_int
             (ctx ^ ": tuples_in = data_state + tuples_purged")
             s.Engine.Operator.tuples_in
-            (op.data_state_size () + s.Engine.Operator.tuples_purged);
+            ((op.state ()).data + s.Engine.Operator.tuples_purged);
           check_int
             (ctx ^ ": puncts_in = punct_state + purged + dropped")
             s.Engine.Operator.puncts_in
-            (op.punct_state_size () + s.Engine.Operator.puncts_purged
+            ((op.state ()).puncts + s.Engine.Operator.puncts_purged
            + s.Engine.Operator.puncts_dropped))
         (Executor.operators ~c))
     [
@@ -646,7 +643,7 @@ let test_inserts_count_stored_tuples () =
          Element.Data (tuple s2 [ 9; 0 ]);
        |]);
   check_int "anti join: inserts = stored tuples"
-    (anti.Engine.Operator.data_state_size ())
+    (anti.Engine.Operator.state ()).data
     (Obs.Registry.counter (Telemetry.registry telemetry) "A1.inserts")
 
 (* Telemetry times a push on the monotonic wall clock of the domain that
@@ -719,7 +716,7 @@ let test_window_evict_events () =
   check_int "counter matches events" evicted
     (Obs.Registry.counter (Telemetry.registry telemetry) "W1.evicted_tuples");
   check_int "state capped at the window" 4
-    (op.Engine.Operator.data_state_size ())
+    (op.Engine.Operator.state ()).data
 
 (* ------------------------------------------------------------------ *)
 (* Gauge aggregation across registries (Registry.merged) *)
@@ -764,18 +761,14 @@ let test_sharded_gauge_sum () =
   in
   let rep = Engine.Parallel_executor.report pexec result in
   let reg = rep.Obs.Report.registry in
-  let breakdown =
-    List.find
-      (fun (b : Executor.breakdown) -> b.Executor.op_name = "J1")
-      (Engine.Parallel_executor.state_breakdown pexec)
+  let (breakdown : Engine.Operator.state) =
+    List.assoc "J1" (Engine.Parallel_executor.state_breakdown pexec)
   in
   check_bool "state survived to the end (Never policy)" true
-    (breakdown.Executor.bytes > 0);
-  check_int "merged state_bytes gauge = summed breakdown"
-    breakdown.Executor.bytes
+    (breakdown.bytes > 0);
+  check_int "merged state_bytes gauge = summed breakdown" breakdown.bytes
     (Obs.Registry.gauge reg "J1.state_bytes");
-  check_int "merged data_state gauge = summed breakdown"
-    breakdown.Executor.data
+  check_int "merged data_state gauge = summed breakdown" breakdown.data
     (Obs.Registry.gauge reg "J1.data_state")
 
 (* Every execution mode records the same grid point: a sequential

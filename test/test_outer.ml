@@ -119,7 +119,7 @@ let test_anti_flush_releases_pending () =
     = [ [ vi 1; vi 7 ]; [ vi 2; vi 9 ] ]);
   check_int "tuples_out reconciled" 2 (stats op).Engine.Operator.tuples_out;
   check_int "state empty after flush" 0
-    (op.Engine.Operator.data_state_size ())
+    (op.Engine.Operator.state ()).data
 
 let test_anti_flush_is_empty_when_all_resolved () =
   let op = anti () in
@@ -139,7 +139,7 @@ let test_anti_dead_on_arrival_not_counted_purged () =
   ignore (push op (punct s1 [ ("B", 7) ]));
   check_int "covered right tuple produces nothing" 0
     (List.length (push op (data s2 [ 7; 0 ])));
-  check_int "never stored" 0 (op.Engine.Operator.data_state_size ());
+  check_int "never stored" 0 (op.Engine.Operator.state ()).data;
   check_int "and never counted purged" 0
     (stats op).Engine.Operator.tuples_purged
 
@@ -209,7 +209,7 @@ let test_null_key_rules () =
   check_int "null-keyed right tuple dropped" 0 (List.length o2);
   check_int "neither stored nor counted purged" 0
     (stats op).Engine.Operator.tuples_purged;
-  check_int "no state" 0 (op.Engine.Operator.data_state_size ())
+  check_int "no state" 0 (op.Engine.Operator.state ()).data
 
 let test_watermark_consumed_on_nullable_side () =
   (* Null sorts below every value, so a watermark forwarded from the

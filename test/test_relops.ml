@@ -62,7 +62,7 @@ let test_select_operator () =
     (List.length (op.Engine.Operator.push [| data s1 [ 1; 15 ] |]));
   check_int "punctuation passes through" 1
     (List.length (op.Engine.Operator.push [| punct s1 [ ("B", 5) ] |]));
-  check_int "stateless" 0 (op.Engine.Operator.data_state_size ())
+  check_int "stateless" 0 (op.Engine.Operator.state ()).data
 
 let test_select_unknown_attr () =
   Alcotest.check_raises "unknown"
@@ -81,7 +81,7 @@ let test_dedup_suppresses_duplicates () =
   check_int "duplicate key" 0
     (List.length (op.Engine.Operator.push [| data s1 [ 2; 7 ] |]));
   check_int "new key" 1 (List.length (op.Engine.Operator.push [| data s1 [ 1; 8 ] |]));
-  check_int "two keys remembered" 2 (op.Engine.Operator.data_state_size ())
+  check_int "two keys remembered" 2 (op.Engine.Operator.state ()).data
 
 let test_dedup_purges_on_punctuation () =
   let op = Dedup.create ~input:s1 ~key:[ "B" ] () in
@@ -89,7 +89,7 @@ let test_dedup_purges_on_punctuation () =
   ignore (op.Engine.Operator.push [| data s1 [ 1; 8 ] |]);
   let out = op.Engine.Operator.push [| punct s1 [ ("B", 7) ] |] in
   check_int "punct forwarded" 1 (List.length out);
-  check_int "covered key dropped" 1 (op.Engine.Operator.data_state_size ());
+  check_int "covered key dropped" 1 (op.Engine.Operator.state ()).data;
   (* a watermark drops every key below it *)
   let op2 = Dedup.create ~input:s1 ~key:[ "B" ] () in
   ignore (op2.Engine.Operator.push [| data s1 [ 1; 7 ] |]);
@@ -97,7 +97,7 @@ let test_dedup_purges_on_punctuation () =
   ignore
     (op2.Engine.Operator.push
        [| Element.Punct (Punctuation.watermark s1 "B" (vi 8)) |]);
-  check_int "watermark purges below" 1 (op2.Engine.Operator.data_state_size ())
+  check_int "watermark purges below" 1 (op2.Engine.Operator.state ()).data
 
 let test_dedup_purgeable_analysis () =
   let key_scheme = Scheme.Set.of_list [ Scheme.of_attrs s1 [ "B" ] ] in
@@ -126,7 +126,7 @@ let test_dedup_bounded_on_round_trace () =
     (fun e ->
       if Element.stream_name e = "item" then begin
         ignore (op.Engine.Operator.push [| e |]);
-        peak := max !peak (op.Engine.Operator.data_state_size ())
+        peak := max !peak (op.Engine.Operator.state ()).data
       end)
     (Workload.Auction.trace cfg);
   check_bool "seen-set bounded" true (!peak <= 2)
@@ -149,7 +149,7 @@ let test_sort_blocks_until_watermark () =
     (values_of out "B");
   check_int "watermark forwarded after batch" 1
     (List.length (List.filter Element.is_punct out));
-  check_int "one still buffered" 1 (op.Engine.Operator.data_state_size ())
+  check_int "one still buffered" 1 (op.Engine.Operator.state ()).data
 
 let test_sort_stable_on_ties () =
   let op = Sort.create ~input:s1 ~by:"B" () in
@@ -181,7 +181,7 @@ let test_sort_flush_drains_in_order () =
     "drained ascending"
     [ vi 2; vi 4; vi 7; vi 9 ]
     (values_of out "B");
-  check_int "buffer empty" 0 (op.Engine.Operator.data_state_size ())
+  check_int "buffer empty" 0 (op.Engine.Operator.state ()).data
 
 let test_sort_end_to_end_with_orders () =
   (* The orders workload is watermarked: sorting its order stream by id
@@ -199,7 +199,7 @@ let test_sort_end_to_end_with_orders () =
             | Element.Data t -> emitted := Tuple.get_named t "order_id" :: !emitted
             | Element.Punct _ -> ())
           (op.Engine.Operator.push [| e |]);
-        peak := max !peak (op.Engine.Operator.data_state_size ())
+        peak := max !peak (op.Engine.Operator.state ()).data
       end)
     (Workload.Orders.trace cfg);
   List.iter
@@ -285,7 +285,7 @@ let test_antijoin_blocks_without_punctuation () =
   let op = anti () in
   check_int "no emission on arrival" 0
     (List.length (op.Engine.Operator.push [| data s1 [ 1; 7 ] |]));
-  check_int "buffered" 1 (op.Engine.Operator.data_state_size ())
+  check_int "buffered" 1 (op.Engine.Operator.state ()).data
 
 let test_antijoin_match_disqualifies () =
   let op = anti () in
@@ -306,7 +306,7 @@ let test_antijoin_punctuation_releases () =
       check_bool "the matchless tuple" true (Tuple.get_named t "A" = vi 1)
   | _ -> Alcotest.fail "expected exactly one anti-join result");
   check_int "released tuple dropped, matched one too" 1
-    (op.Engine.Operator.data_state_size ())
+    (op.Engine.Operator.state ()).data
 
 let test_antijoin_immediate_when_preproven () =
   let op = anti () in
@@ -314,7 +314,7 @@ let test_antijoin_immediate_when_preproven () =
   let out = op.Engine.Operator.push [| data s1 [ 1; 7 ] |] in
   check_int "emitted immediately" 1
     (List.length (List.filter Element.is_data out));
-  check_int "nothing buffered" 0 (op.Engine.Operator.data_state_size ())
+  check_int "nothing buffered" 0 (op.Engine.Operator.state ()).data
 
 let test_antijoin_watermark_release () =
   let op = anti () in
@@ -330,9 +330,9 @@ let test_antijoin_watermark_release () =
 let test_antijoin_left_punct_purges_right_state () =
   let op = anti () in
   ignore (op.Engine.Operator.push [| data s2 [ 7; 0 ] |]);
-  check_int "right remembered" 1 (op.Engine.Operator.data_state_size ());
+  check_int "right remembered" 1 (op.Engine.Operator.state ()).data;
   let out = op.Engine.Operator.push [| punct s1 [ ("B", 7) ] |] in
-  check_int "right tuple dropped" 0 (op.Engine.Operator.data_state_size ());
+  check_int "right tuple dropped" 0 (op.Engine.Operator.state ()).data;
   check_int "left punctuation forwarded" 1
     (List.length (List.filter Element.is_punct out))
 
@@ -355,7 +355,7 @@ let test_antijoin_auction_unsold_items () =
   (* every item gets bids_per_item bids in this workload: zero unsold *)
   check_int "no unsold items" 0 !unsold;
   check_bool "state drained by punctuations" true
-    (op.Engine.Operator.data_state_size () <= 1)
+    ((op.Engine.Operator.state ()).data <= 1)
 
 (* ------------------------------------------------------------------ *)
 (* state breakdown *)
@@ -378,25 +378,25 @@ let test_state_breakdown_names_leaking_operator () =
   (* the lower (S1 x S2) operator is the leaking one — Figure 7 *)
   let lower_data =
     match breakdown with
-    | (b : Engine.Executor.breakdown) :: _ -> b.data
+    | (_, (b : Engine.Operator.state)) :: _ -> b.data
     | [] -> -1
   in
   let upper_data =
     match List.rev breakdown with
-    | (b : Engine.Executor.breakdown) :: _ -> b.data
+    | (_, (b : Engine.Operator.state)) :: _ -> b.data
     | [] -> -1
   in
   check_bool "lower leaks" true (lower_data >= 80);
   check_bool "upper bounded" true (upper_data < 10);
   (* the new columns are populated and consistent: indexes stay O(data) *)
   List.iter
-    (fun (b : Engine.Executor.breakdown) ->
+    (fun (name, (b : Engine.Operator.state)) ->
       check_bool
-        (Fmt.str "%s: bytes positive when data held" b.op_name)
+        (Fmt.str "%s: bytes positive when data held" name)
         true
         (b.data = 0 || b.bytes > 0);
       check_bool
-        (Fmt.str "%s: index >= data (at least one index per state)" b.op_name)
+        (Fmt.str "%s: index >= data (at least one index per state)" name)
         true
         (b.index >= b.data))
     breakdown
@@ -407,14 +407,14 @@ let test_state_breakdown_names_leaking_operator () =
 
 let test_dedup_state_bytes_shared_estimate () =
   let op = Dedup.create ~input:s1 ~key:[ "A" ] () in
-  check_int "empty costs nothing" 0 (op.Engine.Operator.state_bytes ());
+  check_int "empty costs nothing" 0 (op.Engine.Operator.state ()).bytes;
   for i = 1 to 5 do
     ignore (op.Engine.Operator.push [| data s1 [ i; 0 ] |])
   done;
   check_int "five keys, shared formula"
     (Engine.Mem_estimate.keyed_table_bytes ~key_width:1 ~payload_width:0
        ~entries:5)
-    (op.Engine.Operator.state_bytes ())
+    (op.Engine.Operator.state ()).bytes
 
 let test_groupby_state_bytes_shared_estimate () =
   let op =
@@ -428,7 +428,7 @@ let test_groupby_state_bytes_shared_estimate () =
   check_int "two groups, key + one accumulator cell"
     (Engine.Mem_estimate.keyed_table_bytes ~key_width:1 ~payload_width:1
        ~entries:2)
-    (op.Engine.Operator.state_bytes ())
+    (op.Engine.Operator.state ()).bytes
 
 let () =
   Alcotest.run "relops"

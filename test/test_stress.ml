@@ -84,7 +84,7 @@ let test_dedup_100k_stream () =
            [| Element.Punct
               (Streams.Punctuation.watermark schema "B"
                  (Relational.Value.Int (key + 1))) |]);
-    peak := max !peak (op.Engine.Operator.data_state_size ())
+    peak := max !peak (op.Engine.Operator.state ()).data
   done;
   check_int "exactly the distinct keys" 1000 !distinct;
   check_bool "seen-set stays O(1)" true (!peak <= 2)
