@@ -1051,7 +1051,7 @@ let listen =
     & opt (some address_conv) None
     & info [ "listen" ] ~docv:"ADDR"
         ~doc:
-          "Serve live OpenMetrics snapshots while the run is in flight: \
+          "Serve the live metrics as OpenMetrics text while the run is in flight: \
            $(b,PORT), $(b,HOST:PORT) (port 0 picks a free one) or \
            $(b,unix:PATH). One exposition per sampling-grid point; scrape \
            with pstream-obs scrape or watch with pstream-obs top. Without this \

@@ -33,7 +33,6 @@ type t = {
   registry : unit -> Obs.Registry.t;
   metrics : Metrics.t;
   watched : (string, unit) Hashtbl.t;  (** operators the watchdog watches *)
-  mutable prev_snapshot : Obs.Snapshot.t option;
   mutable prev_gc : Gc.stat;
 }
 
@@ -51,7 +50,6 @@ let start ?exporter ?watchdog ?registry ~label telemetry =
       Option.value registry ~default:(fun () -> Telemetry.registry telemetry);
     metrics = Metrics.create ();
     watched = Hashtbl.create 8;
-    prev_snapshot = None;
     prev_gc = Gc.quick_stat ();
   }
 
@@ -93,7 +91,7 @@ let record_gc g =
   count "gc_minor_collections" (fun (st : Gc.stat) -> st.minor_collections);
   count "gc_major_collections" (fun st -> st.major_collections);
   count "gc_compactions" (fun st -> st.compactions);
-  Telemetry.set_gauge ~agg:Obs.Counters.Sum g.telemetry "gc_heap_words"
+  Telemetry.set_gauge ~agg:Obs.Registry.Sum g.telemetry "gc_heap_words"
     s.heap_words
 
 let record g ~final ~tick ~emitted parts =
@@ -112,7 +110,7 @@ let record g ~final ~tick ~emitted parts =
     List.iter
       (fun (name, (st : Operator.state)) ->
         let set suffix v =
-          Telemetry.set_gauge ~agg:Obs.Counters.Sum tel (name ^ "." ^ suffix) v
+          Telemetry.set_gauge ~agg:Obs.Registry.Sum tel (name ^ "." ^ suffix) v
         in
         set "data_state" st.data;
         set "punct_state" st.puncts;
@@ -144,11 +142,7 @@ let publish g ~tick =
   match g.exporter with
   | None -> ()
   | Some ex ->
-      let snap =
-        Obs.Snapshot.capture ?prev:g.prev_snapshot ~tick (g.registry ())
-      in
-      g.prev_snapshot <- Some snap;
-      Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
+      Obs.Exporter.publish ex (Obs.Openmetrics.render ~tick (g.registry ()))
 
 let feed ?(start = 0) ~sample_every ~cap ~run ~point elements =
   let consumed = ref start in

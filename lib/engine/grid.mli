@@ -1,21 +1,21 @@
 (** The sampling grid: what a run records every [sample_every] input
-    elements, and once more at end of input.
+    elements, and once more at end of input. It is the engine's one
+    sampler.
 
     Theorem 1's bounded-state guarantee is visible at run time only here.
     At each grid point the executor hands over its operators as {!part}s
     and the grid reads each operator's {!Operator.state} once, then
-    records from the readings
-    the {!Metrics} sample, the per-operator state gauges
-    ([<op>.data_state], [.punct_state], [.index_state], [.state_bytes]),
-    the whole-process GC deltas ([gc_minor_words] …, [gc_heap_words]),
-    the [Sample] event, one watchdog observation per watched operator
-    (with its [Alarm] event), and on {!publish} the exporter snapshot. An
-    operator is watched from its first grid point holding a stored
-    punctuation (before it nothing can have been purged, so growth is the
-    punctuation lag filling), or from the start if it has a
-    purge-unreachable input. The same
-    module builds the report's per-operator entries, so every execution
-    mode — sequential, multi-query, sharded — records the same grid point.
+    records from the readings the {!Metrics} sample, the per-operator
+    state gauges ([<op>.data_state], [.punct_state], [.index_state],
+    [.state_bytes]), the whole-process GC deltas ([gc_minor_words] …,
+    [gc_heap_words]), the [Sample] event and one watchdog observation per
+    watched operator (with its [Alarm] event); {!publish} then renders the
+    registry, as it stands, for the exporter. An operator is watched from
+    its first grid point holding a stored punctuation (before it nothing
+    can have been purged, so growth is the punctuation lag filling), or
+    from the start if it has a purge-unreachable input. The same module
+    builds the report's per-operator entries, so every execution mode —
+    sequential, multi-query, sharded — records the same grid point.
 
     Operators are identified by name across parts: the shards of one plan
     repeat every name and their figures are summed (the watchdog sees each
@@ -42,7 +42,8 @@ type t
     events, the state gauges and the GC counters when it is enabled.
     [watchdog] defaults to [telemetry]'s; it is observed even under a
     disabled handle. [registry] (default [telemetry]'s) is what {!publish}
-    renders to [exporter]. *)
+    renders to [exporter]: a sharded run passes the fleet's merged
+    registry, built while its workers are parked. *)
 val start :
   ?exporter:Obs.Exporter.t ->
   ?watchdog:Obs.Watchdog.t ->
@@ -52,7 +53,7 @@ val start :
   t
 
 (** [sample g ~tick ~emitted parts] — record the grid point at [tick]
-    (everything but the exporter snapshot). *)
+    (everything but the exporter's rendering). *)
 val sample : t -> tick:int -> emitted:int -> part list -> unit
 
 (** [watch g ~tick ~op ~size] — one more watchdog series on the grid,
@@ -60,8 +61,8 @@ val sample : t -> tick:int -> emitted:int -> part list -> unit
     replay log); an alarm is traced like an operator's. *)
 val watch : t -> tick:int -> op:string -> size:int -> unit
 
-(** [publish g ~tick] — hand the exporter, if any, one rendered
-    {!Obs.Openmetrics} snapshot of the registry. *)
+(** [publish g ~tick] — hand the exporter, if any, the
+    {!Obs.Openmetrics} rendering of the registry at [tick]. *)
 val publish : t -> tick:int -> unit
 
 (** [feed ?start ~sample_every ~cap ~run ~point elements] — the one
@@ -82,7 +83,7 @@ val feed :
 
 (** [finish g ~tick ~emitted parts] — the closing grid point after the
     final flush ({!Metrics.flush} replaces a same-tick sample), its
-    snapshot, and [Run_end]. *)
+    {!publish}, and [Run_end]. *)
 val finish : t -> tick:int -> emitted:int -> part list -> unit
 
 (** The series recorded so far. *)

@@ -112,23 +112,14 @@ let evict_before t ~tick =
    [count] oldest live tuples by (insertion tick, insertion id) — a total
    order, so two incarnations of the same state shed the same tuples
    regardless of hash-table iteration order. *)
+let oldest t ~count =
+  Hashtbl.fold (fun id (k, tup) acc -> (k, id, tup) :: acc) t.live []
+  |> List.sort (fun (k1, i1, _) (k2, i2, _) -> compare (k1, i1) (k2, i2))
+  |> List.filteri (fun i _ -> i < count)
+  |> List.map (fun (_, id, tup) -> (id, tup))
+
 let evict_oldest t ~count =
-  if count <= 0 then 0
-  else begin
-    let all =
-      Hashtbl.fold (fun id (k, tup) acc -> (k, id, tup) :: acc) t.live []
-    in
-    let sorted =
-      List.sort
-        (fun (k1, i1, _) (k2, i2, _) -> compare (k1, i1) (k2, i2))
-        all
-    in
-    let victims =
-      List.filteri (fun i _ -> i < count) sorted
-      |> List.map (fun (_, id, tup) -> (id, tup))
-    in
-    remove_victims t victims
-  end
+  if count <= 0 then 0 else remove_victims t (oldest t ~count)
 
 let size t = Hashtbl.length t.live
 let insertions t = t.next_id
@@ -340,16 +331,29 @@ let reading ~puncts states =
     { Operator.no_state with puncts }
     states
 
+module TupleTbl = Hashtbl.Make (Tuple)
+
 (* Degraded mode's emergency eviction: a quarter of each state, oldest
-   first ({!evict_oldest}). *)
-let shed states =
+   first ({!evict_oldest}). A shadow stores its own copies of a subset of
+   its state's tuples, so it loses one equal copy per victim. *)
+let shed ?(shadows = []) states =
   let bytes () =
     List.fold_left (fun acc s -> acc + (mem_stats s).approx_bytes) 0 states
   in
   let before = bytes () in
-  let victims =
-    List.fold_left
-      (fun acc s -> acc + evict_oldest s ~count:((size s + 3) / 4))
-      0 states
+  let shed_one acc s =
+    let victims = oldest s ~count:((size s + 3) / 4) in
+    Option.iter
+      (fun shadow ->
+        let owed = TupleTbl.create 16 in
+        List.iter (fun (_, tup) -> TupleTbl.add owed tup ()) victims;
+        ignore
+          (purge_if shadow (fun tup ->
+               let copy = TupleTbl.mem owed tup in
+               if copy then TupleTbl.remove owed tup;
+               copy)))
+      (List.assq_opt s shadows);
+    acc + remove_victims s victims
   in
+  let victims = List.fold_left shed_one 0 states in
   (victims, max 0 (before - bytes ()))

@@ -119,12 +119,16 @@ val mem_stats : t -> mem_stats
     approximate bytes, summed. *)
 val reading : puncts:int -> t list -> Operator.state
 
-(** [shed states] — degraded mode's emergency eviction, the one every
-    join operator registers with {!Contract.register_shedder}: drops the
-    oldest quarter (rounded up) of each state by {!evict_oldest}'s order,
-    so a sharded run and its recovery replay shed the same tuples. Returns
-    the victims and the approximate bytes freed. *)
-val shed : t list -> int * int
+(** [shed ?shadows states] — degraded mode's emergency eviction, the one
+    every join operator registers with {!Contract.register_shedder}: drops
+    the oldest quarter (rounded up) of each state by {!evict_oldest}'s
+    order, so a sharded run and its recovery replay shed the same tuples.
+    [shadows] pairs a state of [states] with one holding copies of a
+    subset of its tuples (an outer join's pending set, inside its store):
+    each tuple shed from the state also loses one equal copy from its
+    shadow, so a shed tuple cannot stay pending, and counts once. Returns
+    the victims and the approximate bytes freed from [states]. *)
+val shed : ?shadows:(t * t) list -> t list -> int * int
 
 (** Versioned binary serialization ({!Streams.Wire}) for checkpointing.
     [write_snapshot] captures the live entries (with insertion ids and

@@ -224,9 +224,9 @@ let create ?(name = "mjoin") ?(policy = Purge_policy.Eager) ?punct_lifespan
     | None -> ()
     | Some (lo, hi) ->
         let base = name ^ "." ^ slot.input.name in
-        Telemetry.set_gauge ~agg:Obs.Counters.Min telemetry
+        Telemetry.set_gauge ~agg:Obs.Registry.Min telemetry
           (base ^ ".punct_progress_min") lo;
-        Telemetry.set_gauge ~agg:Obs.Counters.Max telemetry
+        Telemetry.set_gauge ~agg:Obs.Registry.Max telemetry
           (base ^ ".punct_progress_max") hi
   in
 

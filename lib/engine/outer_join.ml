@@ -98,11 +98,15 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
   let c_probes = name ^ ".probes" and c_inserts = name ^ ".inserts" in
   let now = ref 0 in
   let pending_since = ref None in
+  (* A side's tuples live in [store], or in [pending] alone for the anti
+     join's left side; the outer variants' [pending] shadows [store]. *)
+  let primary s = if s.store_used then s.store else s.pending in
   (match contract with
   | None -> ()
   | Some c ->
       Contract.register_shedder c ~op:name (fun () ->
-          Join_state.shed [ l.store; l.pending; r.store; r.pending ]));
+          Join_state.shed [ primary l; primary r ]
+            ~shadows:[ (l.store, l.pending); (r.store, r.pending) ]));
   let record_purge ~input ~trigger ~victims =
     if victims > 0 && instrumented then begin
       let tick = Telemetry.now telemetry in
@@ -464,10 +468,8 @@ let create ?(name = "outer_join") ?(telemetry = Telemetry.null) ?contract
     flush;
     state =
       (fun () ->
-        (* A side's tuples live in [store], or in [pending] alone for the
-           anti join's left side; the outer variants' [pending] is a
-           second index over [store]'s tuples, so only its entries count. *)
-        let primary s = if s.store_used then s.store else s.pending in
+        (* The outer variants' [pending] is a second index over [store]'s
+           tuples, so only its entries count. *)
         let st =
           Join_state.reading
             ~puncts:(Punct_store.size l.puncts + Punct_store.size r.puncts)

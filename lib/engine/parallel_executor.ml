@@ -816,7 +816,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
             s.history_elems <- 0;
             s.history_bytes <- 0)
           t.shards;
-        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "checkpoint_bytes"
+        Telemetry.set_gauge ~agg:Obs.Registry.Sum t.driver "checkpoint_bytes"
           bytes;
         Telemetry.emit t.driver
           (Obs.Event.Checkpoint
@@ -839,9 +839,9 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     match t.checkpoint with
     | None -> ()
     | Some _ ->
-        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "history_len"
+        Telemetry.set_gauge ~agg:Obs.Registry.Sum t.driver "history_len"
           (history_elems t);
-        Telemetry.set_gauge ~agg:Obs.Counters.Sum t.driver "history_bytes"
+        Telemetry.set_gauge ~agg:Obs.Registry.Sum t.driver "history_bytes"
           (history_bytes t)
   in
   (* The watchdog must not see the raw saw-tooth (its slope detector

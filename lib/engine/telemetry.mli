@@ -1,11 +1,15 @@
 (** The engine's handle into the [Obs] telemetry library.
 
     One value of {!t} is shared by an executor tree and every operator in
-    it: operators emit {!Obs.Event.t}s and record counters/histograms
-    through it, the executor stamps the global element clock and feeds the
-    watchdog. The default handle is {!null}, which is disabled: no events
-    are constructed, no counters written, and a run is behaviour-identical
-    to an uninstrumented one (asserted by a test).
+    it: operators emit {!Obs.Event.t}s and record counters, gauges and
+    histograms into its {!Obs.Registry} — the run's one metrics store,
+    which the report writes and the sampling grid ({!Grid.publish})
+    renders for a live exporter — and the executor stamps the global
+    element clock and feeds the watchdog. The default handle is {!null},
+    which is disabled: no events are constructed, no registry written,
+    and a run is behaviour-identical to an uninstrumented one (asserted by
+    a test). The {!Metrics} series does not come from the registry: the
+    grid records it on every run, instrumented or not.
 
     Naming convention, shared with {!Obs.Report.replay}: counters and
     histograms are ["<operator>.<metric>"], e.g. [J1.tuples_in],
@@ -54,9 +58,9 @@ val incr : ?by:int -> t -> string -> unit
 val observe : ?n:int -> t -> string -> int -> unit
 
 (** [set_gauge ?agg t name v] — record gauge [name]'s current level with
-    its cross-shard aggregation (see {!Obs.Counters.agg}); no-op when
+    its cross-shard aggregation (see {!Obs.Registry.agg}); no-op when
     disabled. *)
-val set_gauge : ?agg:Obs.Counters.agg -> t -> string -> int -> unit
+val set_gauge : ?agg:Obs.Registry.agg -> t -> string -> int -> unit
 
 (** [close t] — flush/close the sink. *)
 val close : t -> unit

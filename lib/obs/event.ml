@@ -402,13 +402,9 @@ let of_json j =
       Ok (Restore { tick; shard; bytes; duration_ns })
   | other -> Error (Printf.sprintf "unknown event kind %S" other)
 
-let shard_of_json j = Option.bind (Json.member "shard" j) Json.to_int
-
 let to_line ?shard e = Json.to_string (to_json ?shard e)
 
 let of_line s =
   match Json.parse s with
   | Error msg -> Error ("bad JSON: " ^ msg)
   | Ok j -> of_json j
-
-let pp ppf e = Fmt.string ppf (to_line e)

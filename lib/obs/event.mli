@@ -106,20 +106,15 @@ val tick_of : t -> int
 (** [to_json ?shard e] — with [shard], a sharded run tags the event with
     the shard that produced it (an extra ["shard"] field); {!of_json}
     ignores the tag, so replay aggregates across shards — exactly what an
-    aggregated report's counters claim. Recover it with {!shard_of_json}
-    when analyzing a merged trace per shard. *)
+    aggregated report's counters claim. *)
 val to_json : ?shard:int -> t -> Json.t
 
 (** [of_json j] — inverse of {!to_json}; [Error] names the offending
     field. Unknown fields (e.g. a ["shard"] tag) are ignored. *)
 val of_json : Json.t -> (t, string) result
 
-(** [shard_of_json j] — the shard tag of a serialized event, if present. *)
-val shard_of_json : Json.t -> int option
-
 (** [to_line ?shard e] / [of_line s] — the JSONL codec (no trailing
     newline). *)
 val to_line : ?shard:int -> t -> string
 
 val of_line : string -> (t, string) result
-val pp : Format.formatter -> t -> unit

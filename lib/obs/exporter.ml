@@ -1,12 +1,12 @@
 (* Live metrics endpoint.
 
-   The executor renders each snapshot to its OpenMetrics text and
-   [publish]es the string; a dedicated domain sits in [accept] and writes
-   the latest published payload to every connection, then closes it. The
-   protocol is deliberately dumb — connect, read to EOF — so a scrape is
-   one `nc` away and the serving domain never blocks on a slow reader
-   parsing anything. The executor's own path pays one [Atomic.set] per
-   sample. *)
+   At each point of the sampling grid the executor renders its live
+   registry to OpenMetrics text and [publish]es the string; a dedicated
+   domain sits in [accept] and writes the latest published payload to
+   every connection, then closes it. The protocol is deliberately dumb —
+   connect, read to EOF — so a scrape is one `nc` away and the serving
+   domain never blocks on a slow reader parsing anything. The executor's
+   own path pays the rendering and one [Atomic.set] per grid point. *)
 
 type address = Tcp of string * int | Unix_path of string
 
@@ -82,52 +82,50 @@ let serve ~listen_fd ~wake_r ~payload ~stopping =
   in
   loop ()
 
+(* [address]'s socket domain and socket address, resolving a host name:
+   what [start] binds and [fetch] connects to. *)
+let sockaddr = function
+  | Unix_path path -> Ok (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) -> (
+      match
+        try Ok (Unix.inet_addr_of_string host)
+        with Failure _ -> (
+          match Unix.gethostbyname host with
+          | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+              Error (Printf.sprintf "cannot resolve host %S" host)
+          | h -> Ok h.Unix.h_addr_list.(0))
+      with
+      | Error e -> Error e
+      | Ok inet -> Ok (Unix.PF_INET, Unix.ADDR_INET (inet, port)))
+
 let start address =
   let bind_result =
-    match address with
-    | Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           (* A stale socket file from a previous run blocks bind. *)
-           (match Unix.stat path with
-           | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-           | _ -> ()
-           | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 16;
-           Ok (fd, address)
-         with Unix.Unix_error (e, _, _) ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           Error
-             (Printf.sprintf "cannot listen on unix:%s: %s" path
-                (Unix.error_message e)))
-    | Tcp (host, port) -> (
-        match
-          try Ok (Unix.inet_addr_of_string host)
-          with Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-                Error (Printf.sprintf "cannot resolve host %S" host)
-            | h -> Ok h.Unix.h_addr_list.(0))
-        with
-        | Error e -> Error e
-        | Ok inet -> (
-            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-            try
-              Unix.setsockopt fd Unix.SO_REUSEADDR true;
-              Unix.bind fd (Unix.ADDR_INET (inet, port));
-              Unix.listen fd 16;
-              let bound_port =
-                match Unix.getsockname fd with
-                | Unix.ADDR_INET (_, p) -> p
-                | _ -> port
-              in
-              Ok (fd, Tcp (host, bound_port))
-            with Unix.Unix_error (e, _, _) ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Error
-                (Printf.sprintf "cannot listen on %s:%d: %s" host port
-                   (Unix.error_message e))))
+    match sockaddr address with
+    | Error e -> Error e
+    | Ok (domain, sa) -> (
+        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+        try
+          (match address with
+          | Unix_path path -> (
+              (* A stale socket file from a previous run blocks bind. *)
+              match Unix.stat path with
+              | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
+              | _ -> ()
+              | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+          | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+          Unix.bind fd sa;
+          Unix.listen fd 16;
+          let bound =
+            match (address, Unix.getsockname fd) with
+            | Tcp (host, _), Unix.ADDR_INET (_, port) -> Tcp (host, port)
+            | _ -> address
+          in
+          Ok (fd, bound)
+        with Unix.Unix_error (e, _, _) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Error
+            (Fmt.str "cannot listen on %a: %s" pp_address address
+               (Unix.error_message e)))
   in
   match bind_result with
   | Error e -> Error e
@@ -141,10 +139,6 @@ let start address =
       Ok { address; listen_fd; wake_r; wake_w; payload; stopping; server }
 
 let publish t text = Atomic.set t.payload text
-let address t = t.address
-
-let bound_port t =
-  match t.address with Tcp (_, port) -> Some port | Unix_path _ -> None
 
 let endpoint t = Fmt.str "%a" pp_address t.address
 
@@ -165,27 +159,12 @@ let stop t =
 (* Client side: connect, read to EOF. Used by pstream_obs scrape / top
    and the CI smoke. *)
 let fetch address =
-  let resolve () =
-    match address with
-    | Unix_path path -> Ok (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | Tcp (host, port) -> (
-        match
-          try Ok (Unix.inet_addr_of_string host)
-          with Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-                Error (Printf.sprintf "cannot resolve host %S" host)
-            | h -> Ok h.Unix.h_addr_list.(0))
-        with
-        | Error e -> Error e
-        | Ok inet -> Ok (Unix.PF_INET, Unix.ADDR_INET (inet, port)))
-  in
-  match resolve () with
+  match sockaddr address with
   | Error e -> Error e
-  | Ok (domain, sockaddr) -> (
+  | Ok (domain, sa) -> (
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       try
-        Unix.connect fd sockaddr;
+        Unix.connect fd sa;
         let buf = Buffer.create 4096 in
         let chunk = Bytes.create 8192 in
         let rec drain () =

@@ -27,12 +27,8 @@ val start : address -> (t, string) result
 (** [publish t text] — atomically replace what new connections receive. *)
 val publish : t -> string -> unit
 
-(** The (resolved) address — actual port for [Tcp (_, 0)]. *)
-val address : t -> address
-
-val bound_port : t -> int option
-
-(** Printable form of {!address}, accepted back by {!address_of_string}. *)
+(** Printable form of the bound address (the actual port for
+    [Tcp (_, 0)]), accepted back by {!address_of_string}. *)
 val endpoint : t -> string
 
 (** Close the listen socket, join the serving domain, unlink a unix

@@ -91,9 +91,3 @@ let to_json t =
              (fun (lo, c) -> Json.List [ Json.Int lo; Json.Int c ])
              (buckets t)) );
     ]
-
-let pp_summary ppf t =
-  if count t = 0 then Fmt.string ppf "(empty)"
-  else
-    Fmt.pf ppf "n=%d p50=%d p90=%d p99=%d max=%d" (count t) (percentile t 0.5)
-      (percentile t 0.9) (percentile t 0.99) (max_value t)

@@ -39,5 +39,3 @@ val merge : t -> t -> t
 
 (** Summary object: count, sum, min, max, mean, p50/p90/p99, buckets. *)
 val to_json : t -> Json.t
-
-val pp_summary : Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-(* OpenMetrics text exposition for a {!Snapshot}.
+(* OpenMetrics text exposition of a {!Registry}.
 
    Internal metric names follow "<op>.<metric>" (sometimes
    "<op>.<input>.<metric>"); the exposition turns the metric into the
@@ -98,7 +98,7 @@ let family_name metric = "pstream_" ^ sanitize metric
    the value 0; bucket [2^(i-1), 2^i) has integer upper edge 2^i - 1. *)
 let bucket_le lower = if lower = 0 then 0 else (2 * lower) - 1
 
-let render snap =
+let render ~tick reg =
   let families : (string, family) Hashtbl.t = Hashtbl.create 32 in
   let fam name kind =
     match Hashtbl.find_opt families name with
@@ -117,24 +117,24 @@ let render snap =
   let add_sample f name labels value =
     add_line f (Printf.sprintf "%s%s %s" name (render_labels labels) value)
   in
-  (* Snapshot tick: where on the element clock this capture sits. *)
+  (* Where on the element clock the rendering sits. *)
   let tick_fam = fam "pstream_tick" Gauge in
-  add_sample tick_fam "pstream_tick" [] (string_of_int (Snapshot.tick snap));
+  add_sample tick_fam "pstream_tick" [] (string_of_int tick);
   List.iter
     (fun (name, v) ->
       let metric, labels = split_name name in
       let family = family_name metric in
       let f = fam family Counter in
       add_sample f (family ^ "_total") labels (string_of_int v))
-    (Snapshot.counters snap);
+    (Registry.counters reg);
   List.iter
-    (fun (name, (v, agg)) ->
+    (fun (name, v) ->
       let metric, labels = split_name name in
       let family = family_name metric in
       let f = fam family Gauge in
-      let labels = labels @ [ ("agg", Counters.agg_to_string agg) ] in
-      add_sample f family labels (string_of_int v))
-    (Snapshot.gauges_with_agg snap);
+      let agg = Registry.agg_to_string (Registry.gauge_agg reg name) in
+      add_sample f family (labels @ [ ("agg", agg) ]) (string_of_int v))
+    (Registry.gauges reg);
   List.iter
     (fun (name, h) ->
       let metric, labels = split_name name in
@@ -154,7 +154,7 @@ let render snap =
       add_sample f (family ^ "_sum") labels (string_of_int (Histogram.sum h));
       add_sample f (family ^ "_count") labels
         (string_of_int (Histogram.count h)))
-    (Snapshot.hists snap);
+    (Registry.histograms reg);
   let buf = Buffer.create 4096 in
   Hashtbl.fold (fun name f acc -> (name, f) :: acc) families []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -214,6 +214,7 @@ let parse_line line =
   | Some brace -> (
       match String.rindex_opt line '}' with
       | None -> Error "missing '}'"
+      | Some close when close < brace -> Error "'}' before '{'"
       | Some close -> (
           let name = String.sub line 0 brace in
           let inner = String.sub line (brace + 1) (close - brace - 1) in

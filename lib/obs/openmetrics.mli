@@ -1,4 +1,6 @@
-(** OpenMetrics text exposition of a {!Snapshot}.
+(** OpenMetrics text exposition of a {!Registry}: what the live
+    {!Exporter} serves, rendered from the live registry at each point of
+    the executor's sampling grid.
 
     Family mapping: an internal ["<op>.<metric>"] name becomes family
     ["pstream_<metric>"] with label [op]; ["<op>.<input>.<metric>"] adds an
@@ -8,14 +10,14 @@
     the engine's log2 grid (integer upper edges 0, 1, 3, 7, …, +Inf) plus
     [_sum]/[_count]. The exposition ends with [# EOF]. *)
 
-(** [render snap] — the full exposition text, families name-sorted, one
-    [# TYPE] line each. A snapshot gauge ["pstream_tick"] records where on
-    the element clock the capture sits.
+(** [render ~tick reg] — the full exposition text of [reg] as it stands,
+    families name-sorted, one [# TYPE] line each. A gauge ["pstream_tick"]
+    records [tick], where on the element clock the rendering sits.
 
     @raise Invalid_argument if two internal names map to one family with
     conflicting types (e.g. a counter and a gauge both named
     ["x.state_bytes"]). *)
-val render : Snapshot.t -> string
+val render : tick:int -> Registry.t -> string
 
 type sample = {
   name : string;  (** sample name, e.g. ["pstream_tuples_in_total"] *)
@@ -25,7 +27,8 @@ type sample = {
 
 (** [parse text] — samples in exposition order. Validates the [# EOF]
     terminator and basic line shape; it is a scraper's reader, not a
-    conformance checker. *)
+    conformance checker. Malformed text of any shape is an [Error], never
+    an exception. *)
 val parse : string -> (sample list, string) result
 
 (** [label s key] — convenience lookup. *)

@@ -56,45 +56,6 @@ let to_json t =
         ("alarms", Json.List (List.map alarm_to_json t.alarms));
       ])
 
-let stat o name = match List.assoc_opt name o with Some v -> v | None -> 0
-
-let pp_human ppf t =
-  Fmt.pf ppf "@[<v>";
-  List.iter
-    (fun (k, v) -> Fmt.pf ppf "%-10s %s@," k (Json.to_string v))
-    t.meta;
-  Fmt.pf ppf "@,%-8s %9s %9s %9s %9s %9s %7s %8s %17s %18s %16s@," "operator"
-    "tup_in" "tup_out" "pct_in" "pct_out" "purged" "state" "puncts"
-    "push_ns(p50/p99)" "purge_lag(p50/p99)" "latency(p50/p99)";
-  List.iter
-    (fun o ->
-      let h suffix =
-        Registry.histogram t.registry (o.name ^ "." ^ suffix)
-      in
-      let lag = h "purge_lag" in
-      let push = h "push_ns" in
-      let latency = h "result_latency" in
-      Fmt.pf ppf "%-8s %9d %9d %9d %9d %9d %7d %8d %10d/%d %10d/%d %10d/%d@,"
-        o.name
-        (stat o.stats "tuples_in") (stat o.stats "tuples_out")
-        (stat o.stats "puncts_in") (stat o.stats "puncts_out")
-        (stat o.stats "tuples_purged") (stat o.state "data")
-        (stat o.state "puncts")
-        (Histogram.percentile push 0.5)
-        (Histogram.percentile push 0.99)
-        (Histogram.percentile lag 0.5)
-        (Histogram.percentile lag 0.99)
-        (Histogram.percentile latency 0.5)
-        (Histogram.percentile latency 0.99))
-    t.operators;
-  (match t.alarms with
-  | [] -> Fmt.pf ppf "@,watchdog: quiet@,"
-  | alarms ->
-      List.iter
-        (fun a -> Fmt.pf ppf "@,WATCHDOG ALARM: %a@," Watchdog.pp_alarm a)
-        alarms);
-  Fmt.pf ppf "@]"
-
 (* --- replay ------------------------------------------------------------ *)
 
 let replay events =

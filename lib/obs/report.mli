@@ -2,8 +2,7 @@
 
     A report is one JSON document: run metadata, per-operator stats and
     state, the full registry (counters, gauges, histograms), the metrics
-    series, and any watchdog alarms. The same data renders as a human
-    summary table.
+    series, and any watchdog alarms ([pstream_run --report]).
 
     [replay]/[verify] close the provenance loop: replaying a JSONL event
     trace recomputes the per-operator counters independently, and [verify]
@@ -31,7 +30,6 @@ type t = {
 
 val schema_version : string
 val to_json : t -> Json.t
-val pp_human : Format.formatter -> t -> unit
 
 (** [replay events] — per-operator counters recomputed from a trace, under
     the ["<op>.<metric>"] naming convention (tuples_in, tuples_out,

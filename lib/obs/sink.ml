@@ -2,35 +2,10 @@ type t = { emit : Event.t -> unit; close : unit -> unit }
 
 let null = { emit = (fun _ -> ()); close = (fun () -> ()) }
 
-let memory ?capacity () =
-  match capacity with
-  | None ->
-      let events = ref [] in
-      ( { emit = (fun e -> events := e :: !events); close = (fun () -> ()) },
-        fun () -> List.rev !events )
-  | Some cap ->
-      if cap <= 0 then invalid_arg "Sink.memory: non-positive capacity";
-      let ring = Array.make cap None in
-      let next = ref 0 in
-      let emit e =
-        ring.(!next mod cap) <- Some e;
-        incr next
-      in
-      let contents () =
-        let n = min !next cap in
-        let start = !next - n in
-        List.init n (fun i -> Option.get ring.((start + i) mod cap))
-      in
-      ({ emit; close = (fun () -> ()) }, contents)
-
-let jsonl oc =
-  {
-    emit =
-      (fun e ->
-        output_string oc (Event.to_line e);
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
+let memory () =
+  let events = ref [] in
+  ( { emit = (fun e -> events := e :: !events); close = (fun () -> ()) },
+    fun () -> List.rev !events )
 
 let jsonl_file path =
   let oc = open_out path in
@@ -40,10 +15,4 @@ let jsonl_file path =
         output_string oc (Event.to_line e);
         output_char oc '\n');
     close = (fun () -> close_out oc);
-  }
-
-let tee sinks =
-  {
-    emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
-    close = (fun () -> List.iter (fun s -> s.close ()) sinks);
   }

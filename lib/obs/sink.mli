@@ -3,27 +3,19 @@
     The engine emits {!Event.t} values through whatever sink the caller
     plugged in; the default is {!null}, which drops everything and keeps an
     instrumented build behaviour- and cost-identical to an uninstrumented
-    one. The in-memory sink backs tests and trace-replay verification; the
-    JSONL sink streams events to a file for offline analysis. *)
+    one. The in-memory sink backs tests, trace-replay verification and a
+    sharded run's per-shard traces; the JSONL file sink streams events to
+    disk for offline analysis ([pstream_run --trace]). *)
 
 type t = { emit : Event.t -> unit; close : unit -> unit }
 
 (** Drops every event. *)
 val null : t
 
-(** [memory ?capacity ()] — buffer events in memory. With [capacity] the
-    buffer is a ring keeping only the most recent events; without, it is
-    unbounded. The second component returns the buffered events in emission
-    order. *)
-val memory : ?capacity:int -> unit -> t * (unit -> Event.t list)
+(** [memory ()] — buffer every event in memory. The second component
+    returns the buffered events in emission order. *)
+val memory : unit -> t * (unit -> Event.t list)
 
-(** [jsonl oc] — write one {!Event.to_line} per event to [oc]. [close]
-    flushes but leaves the channel open (the caller owns it). *)
-val jsonl : out_channel -> t
-
-(** [jsonl_file path] — like {!jsonl} but owns the file: [close] flushes
-    and closes it. *)
+(** [jsonl_file path] — write one {!Event.to_line} per event to the file
+    [path]; [close] flushes and closes it. *)
 val jsonl_file : string -> t
-
-(** [tee sinks] — fan an event out to every sink in order. *)
-val tee : t list -> t

@@ -412,6 +412,24 @@ dune exec bin/pstream_obs.exe -- verify \
 dune exec bin/pstream_run.exe -- examples/triangle.query --rounds 200 \
   --chaos-seed 11 --drop-punct 0.05 --late-data 0.1 \
   --on-violation degrade --state-budget 8192 > /dev/null
+#    The outer joins shed through their own shedder (a left join's pending
+#    set shadows its store; the anti join's left side lives in pending
+#    alone): each must shed, exit 0, and replay-verify. The runs' stderr
+#    lists the injected late tuples.
+for kind in left anti; do
+  dune exec bin/pstream_run.exe -- "examples/${kind}_join.query" \
+    --late-data 0.2 --delay-punct 0.2 --fanin 5 --lag 20 \
+    --on-violation degrade --state-budget 8192 \
+    --report "$OBS_TMP/${kind}_degrade_report.json" \
+    --trace "$OBS_TMP/${kind}_degrade_trace.jsonl" \
+    > "$OBS_TMP/${kind}_degrade_out.txt" 2> "$OBS_TMP/${kind}_degrade_err.txt"
+  grep -q 'shed=[1-9]' "$OBS_TMP/${kind}_degrade_out.txt" || {
+    echo "$kind join degrade run shed nothing" >&2
+    exit 1
+  }
+  dune exec bin/pstream_obs.exe -- verify \
+    "$OBS_TMP/${kind}_degrade_report.json" "$OBS_TMP/${kind}_degrade_trace.jsonl"
+done
 
 # 3) Zero tolerance: the same contradictions under fail must abort with
 #    exit 4.

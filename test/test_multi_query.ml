@@ -412,9 +412,8 @@ let test_shared_run_trace_verifies () =
      label: per-query rates break out, shared state is scraped once under
      its group's name. *)
   let text =
-    Obs.Openmetrics.render
-      (Obs.Snapshot.capture ~tick:r.Multi_executor.consumed
-         (Telemetry.registry telemetry))
+    Obs.Openmetrics.render ~tick:r.Multi_executor.consumed
+      (Telemetry.registry telemetry)
   in
   let samples = Result.get_ok (Obs.Openmetrics.parse text) in
   let has_query v =

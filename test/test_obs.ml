@@ -142,18 +142,26 @@ let test_histogram_merge () =
   check_int "merged min" 2 (Obs.Histogram.min_value m)
 
 let test_counters () =
-  let c = Obs.Counters.create () in
-  Obs.Counters.incr c "x";
-  Obs.Counters.incr ~by:4 c "x";
-  check_int "accumulates" 5 (Obs.Counters.get c "x");
-  check_int "absent reads 0" 0 (Obs.Counters.get c "y");
+  let c = Obs.Registry.create () in
+  Obs.Registry.incr c "x";
+  Obs.Registry.incr ~by:4 c "x";
+  check_int "accumulates" 5 (Obs.Registry.counter c "x");
+  check_int "absent reads 0" 0 (Obs.Registry.counter c "y");
   check_bool "negative increment rejected" true
-    (match Obs.Counters.incr ~by:(-1) c "x" with
+    (match Obs.Registry.incr ~by:(-1) c "x" with
     | exception Invalid_argument _ -> true
     | () -> false);
-  Obs.Counters.set_gauge c "level" 9;
-  Obs.Counters.set_gauge c "level" 3;
-  check_int "gauge keeps latest" 3 (Obs.Counters.get_gauge c "level")
+  Obs.Registry.set_gauge c "level" 9;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Min c "level" 3;
+  check_int "gauge keeps latest" 3 (Obs.Registry.gauge c "level");
+  check_bool "last declared aggregation wins" true
+    (Obs.Registry.gauge_agg c "level" = Obs.Registry.Min);
+  check_bool "undeclared gauge merges as max" true
+    (Obs.Registry.gauge_agg c "absent" = Obs.Registry.Max);
+  Obs.Registry.incr c "a";
+  check_bool "views are name-sorted" true
+    (Obs.Registry.counters c = [ ("a", 1); ("x", 5) ]
+    && Obs.Registry.gauges c = [ ("level", 3) ])
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog *)
@@ -220,25 +228,13 @@ let test_watchdog_quiet_on_plateau () =
 
 let ev tick = Obs.Event.Tuple_out { tick; op = "J1"; count = 1 }
 
-let test_sink_memory_ring () =
-  let sink, contents = Obs.Sink.memory ~capacity:3 () in
-  for i = 1 to 10 do
+let test_sink_memory_in_order () =
+  let sink, all = Obs.Sink.memory () in
+  for i = 1 to 5 do
     sink.Obs.Sink.emit (ev i)
   done;
-  check_bool "ring keeps the newest 3" true
-    (contents () = [ ev 8; ev 9; ev 10 ]);
-  let unbounded, all = Obs.Sink.memory () in
-  for i = 1 to 5 do
-    unbounded.Obs.Sink.emit (ev i)
-  done;
-  check_int "unbounded keeps everything" 5 (List.length (all ()))
-
-let test_sink_tee () =
-  let a, ca = Obs.Sink.memory () and b, cb = Obs.Sink.memory () in
-  let t = Obs.Sink.tee [ a; b ] in
-  t.Obs.Sink.emit (ev 1);
-  t.Obs.Sink.close ();
-  check_bool "both sinks saw it" true (ca () = [ ev 1 ] && cb () = [ ev 1 ])
+  check_bool "keeps every event, in emission order" true
+    (all () = List.init 5 (fun i -> ev (i + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics degenerate slopes (satellite: all-same-tick guard) *)
@@ -723,15 +719,15 @@ let test_window_evict_events () =
 
 let test_gauge_agg_merge () =
   let r1 = Obs.Registry.create () and r2 = Obs.Registry.create () in
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Sum r1 "J1.state_bytes" 10;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Sum r2 "J1.state_bytes" 32;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Min r1 "J1.S1.punct_progress_min" 5;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Min r2 "J1.S1.punct_progress_min" 3;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Max r1 "J1.S1.punct_progress_max" 9;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Max r2 "J1.S1.punct_progress_max" 12;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Sum r1 "J1.state_bytes" 10;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Sum r2 "J1.state_bytes" 32;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Min r1 "J1.S1.punct_progress_min" 5;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Min r2 "J1.S1.punct_progress_min" 3;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Max r1 "J1.S1.punct_progress_max" 9;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Max r2 "J1.S1.punct_progress_max" 12;
   (* declared by r1 only: a Min gauge absent from r2 must not be dragged
      toward an implicit 0 by the merge *)
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Min r1 "lonely_min" 7;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Min r1 "lonely_min" 7;
   let m = Obs.Registry.merged [ r1; r2 ] in
   check_int "sum gauges add" 42 (Obs.Registry.gauge m "J1.state_bytes");
   check_int "min gauges take the minimum" 3
@@ -741,8 +737,8 @@ let test_gauge_agg_merge () =
   check_int "min gauge on one side survives" 7
     (Obs.Registry.gauge m "lonely_min");
   check_bool "agg declaration survives the merge" true
-    (Obs.Registry.gauge_agg m "J1.state_bytes" = Obs.Counters.Sum
-    && Obs.Registry.gauge_agg m "J1.S1.punct_progress_min" = Obs.Counters.Min)
+    (Obs.Registry.gauge_agg m "J1.state_bytes" = Obs.Registry.Sum
+    && Obs.Registry.gauge_agg m "J1.S1.punct_progress_min" = Obs.Registry.Min)
 
 (* Regression for the satellite audit: a 4-shard run's merged registry
    must report J1's state gauges as the *sum* over shards (a Max-merged
@@ -777,11 +773,9 @@ let test_sharded_gauge_sum () =
    registry. *)
 let test_grid_family_parity () =
   let check_families mode reg ops =
-    let counters = Obs.Registry.counters reg in
+    let counters = List.map fst (Obs.Registry.counters reg) in
     List.iter
-      (fun c ->
-        check_bool (mode ^ ": counter " ^ c) true
-          (List.mem c (Obs.Counters.counter_names counters)))
+      (fun c -> check_bool (mode ^ ": counter " ^ c) true (List.mem c counters))
       [
         "gc_minor_words";
         "gc_promoted_words";
@@ -790,7 +784,7 @@ let test_grid_family_parity () =
         "gc_major_collections";
         "gc_compactions";
       ];
-    let gauges = List.map fst (Obs.Counters.gauges_to_alist counters) in
+    let gauges = List.map fst (Obs.Registry.gauges reg) in
     List.iter
       (fun g -> check_bool (mode ^ ": gauge " ^ g) true (List.mem g gauges))
       ("gc_heap_words"
@@ -906,36 +900,6 @@ let prop_hist_observe_n =
       hist_fingerprint bulk = hist_fingerprint looped)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot *)
-
-let test_snapshot_deltas () =
-  let r = Obs.Registry.create () in
-  Obs.Registry.incr ~by:5 r "J1.tuples_in";
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Sum r "J1.state_bytes" 100;
-  Obs.Registry.observe r "J1.purge_lag" 3;
-  let s1 = Obs.Snapshot.capture ~tick:10 r in
-  Obs.Registry.incr ~by:7 r "J1.tuples_in";
-  Obs.Registry.incr ~by:2 r "J1.tuples_out";
-  Obs.Registry.observe r "J1.purge_lag" 9;
-  let s2 = Obs.Snapshot.capture ~prev:s1 ~tick:20 r in
-  check_int "tick" 20 (Obs.Snapshot.tick s2);
-  check_int "counter is absolute" 12 (Obs.Snapshot.counter s2 "J1.tuples_in");
-  check_int "delta vs prev" 7 (Obs.Snapshot.counter_delta s2 "J1.tuples_in");
-  check_int "counter born between snapshots deltas from zero" 2
-    (Obs.Snapshot.counter_delta s2 "J1.tuples_out");
-  check_int "first snapshot deltas = absolutes" 5
-    (Obs.Snapshot.counter_delta s1 "J1.tuples_in");
-  check_bool "gauge carries its agg" true
-    (List.assoc "J1.state_bytes" (Obs.Snapshot.gauges_with_agg s2)
-    = (100, Obs.Counters.Sum));
-  (* snapshot histograms are frozen copies, not live references *)
-  let h1 = Option.get (Obs.Snapshot.hist s1 "J1.purge_lag") in
-  let h2 = Option.get (Obs.Snapshot.hist s2 "J1.purge_lag") in
-  check_int "earlier snapshot unaffected by later observes" 1
-    (Obs.Histogram.count h1);
-  check_int "later snapshot sees both" 2 (Obs.Histogram.count h2)
-
-(* ------------------------------------------------------------------ *)
 (* OpenMetrics codec *)
 
 let find_sample samples name labels =
@@ -951,11 +915,11 @@ let find_sample samples name labels =
 let test_openmetrics_roundtrip () =
   let r = Obs.Registry.create () in
   Obs.Registry.incr ~by:3 r "J1.tuples_in";
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Sum r "J1.state_bytes" 64;
-  Obs.Registry.set_gauge ~agg:Obs.Counters.Min r "J1.S1.punct_progress_min" 4;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Sum r "J1.state_bytes" 64;
+  Obs.Registry.set_gauge ~agg:Obs.Registry.Min r "J1.S1.punct_progress_min" 4;
   Obs.Registry.observe ~n:2 r "J1.result_latency" 0;
   Obs.Registry.observe r "J1.result_latency" 5;
-  let text = Obs.Openmetrics.render (Obs.Snapshot.capture ~tick:42 r) in
+  let text = Obs.Openmetrics.render ~tick:42 r in
   check_bool "terminated" true
     (String.length text >= 6
     && String.sub text (String.length text - 6) 6 = "# EOF\n");
@@ -990,10 +954,13 @@ let test_openmetrics_roundtrip () =
         && get "pstream_result_latency_count" [ ("op", "J1") ] = 3.);
       check_bool "sum" true
         (get "pstream_result_latency_sum" [ ("op", "J1") ] = 5.);
-      check_bool "unterminated exposition rejected" true
-        (match Obs.Openmetrics.parse "x 1\n" with
-        | Error _ -> true
-        | Ok _ -> false)
+      List.iter
+        (fun malformed ->
+          check_bool (Printf.sprintf "%S rejected" malformed) true
+            (match Obs.Openmetrics.parse malformed with
+            | Error _ -> true
+            | Ok _ -> false))
+        [ "x 1\n"; "a} b{\n# EOF\n"; "}{\n# EOF\n" ]
 
 (* ------------------------------------------------------------------ *)
 (* Exporter *)
@@ -1047,7 +1014,7 @@ let test_exporter_address_parsing () =
 (* The live plane must not perturb the run it observes *)
 
 let stable_counters reg =
-  Obs.Counters.to_alist (Obs.Registry.counters reg)
+  Obs.Registry.counters reg
   |> List.filter (fun (k, _) -> not (String.length k >= 3 && String.sub k 0 3 = "gc_"))
 
 let test_exporter_identity () =
@@ -1090,13 +1057,11 @@ let test_exporter_identity () =
         (Obs.Histogram.buckets (Obs.Registry.histogram reg1 name)
         = Obs.Histogram.buckets (Obs.Registry.histogram reg2 name)))
     [ "J1.purge_lag"; "J1.result_latency"; "J1.purge_batch" ];
-  check_bool "final exposition was served" true
-    (match last_scrape with
-    | Ok text -> (
-        match Obs.Openmetrics.parse text with
-        | Ok samples -> find_sample samples "pstream_tick" [] <> None
-        | Error _ -> false)
-    | Error _ -> false)
+  (* the exporter serves the closing grid point's rendering of the live
+     registry, which nothing writes after it *)
+  check_string "final scrape renders the final registry"
+    (Obs.Openmetrics.render ~tick:r2.Executor.consumed reg2)
+    (match last_scrape with Ok text -> text | Error e -> e)
 
 (* Every emitted result carries one end-to-end latency observation. *)
 let test_result_latency_counts () =
@@ -1144,10 +1109,8 @@ let () =
             test_watchdog_quiet_on_plateau;
         ] );
       ( "sink",
-        [
-          Alcotest.test_case "memory ring" `Quick test_sink_memory_ring;
-          Alcotest.test_case "tee" `Quick test_sink_tee;
-        ] );
+        [ Alcotest.test_case "memory in order" `Quick test_sink_memory_in_order ]
+      );
       ( "metrics",
         [
           Alcotest.test_case "degenerate slopes" `Quick
@@ -1196,8 +1159,6 @@ let () =
             prop_hist_merge_commutes;
             prop_hist_observe_n;
           ] );
-      ( "snapshot",
-        [ Alcotest.test_case "deltas and frozen hists" `Quick test_snapshot_deltas ] );
       ( "openmetrics",
         [ Alcotest.test_case "render/parse roundtrip" `Quick test_openmetrics_roundtrip ] );
       ( "exporter",

@@ -528,6 +528,69 @@ let test_router_sound_for_kinds () =
     (Engine.Shard_router.sound_for r tri)
 
 (* ------------------------------------------------------------------ *)
+(* Degrade-mode shedding silences results, never invents them. *)
+
+(* A tuple of side [side] with join key [b] and payload [x]. *)
+let keyed side ~b x = if side = "S1" then data s1 [ x; b ] else data s2 [ b; x ]
+
+(* The preserved side [p] holds unmatched tuples keyed 100 and 200 and six
+   tuples matched by the partner side; then [budget], if any, runs one
+   shedding round, which drops the two oldest of [p]'s store (keys 100 and
+   200). Afterwards a partner keyed 200 arrives with a punctuation closing
+   key 200. Returns the data rows, the state bytes before the round, and
+   the tuples shed. *)
+let shed_run semantics ~p ~budget =
+  let q = if p = "S1" then "S2" else "S1" in
+  let contract =
+    Engine.Contract.create
+      {
+        Engine.Contract.default_config with
+        action = Engine.Contract.Degrade;
+        state_budget_bytes = budget;
+      }
+  in
+  let op =
+    Outer_join.create ~contract ~semantics
+      ~left:{ Outer_join.name = "S1"; schema = s1; schemes = [] }
+      ~right:{ Outer_join.name = "S2"; schema = s2; schemes = [] }
+      ~predicates:b_pred ()
+  in
+  let stored =
+    [ keyed p ~b:100 1; keyed p ~b:200 2 ]
+    @ List.init 6 (fun i -> keyed p ~b:(i + 3) (i + 3))
+    @ List.init 6 (fun i -> keyed q ~b:(i + 3) (i + 3))
+  in
+  let before = op.push (Array.of_list stored) in
+  let bytes () = (op.state ()).Engine.Operator.bytes in
+  let bytes_before = bytes () in
+  let shed =
+    Engine.Contract.enforce_budget contract ~telemetry:Telemetry.null
+      ~tick:(List.length stored) ~bytes_now:bytes ()
+  in
+  let schema_q = if q = "S1" then s1 else s2 in
+  let after = op.push [| keyed q ~b:200 9; punct schema_q [ ("B", 200) ] |] in
+  (List.map values_list (data_out (before @ after)), bytes_before, shed)
+
+(* [sub_multiset xs ys] — every row of [xs] occurs in [ys], as often. *)
+let rec sub_multiset xs ys =
+  match xs with
+  | [] -> true
+  | x :: rest -> (
+      match List.partition (( = ) x) ys with
+      | [], _ -> false
+      | _ :: others, ys' -> sub_multiset rest (others @ ys'))
+
+let test_shed_never_invents_rows semantics ~p () =
+  let unshed, bytes, _ = shed_run semantics ~p ~budget:None in
+  let shed_rows, _, shed = shed_run semantics ~p ~budget:(Some (bytes - 1)) in
+  check_bool "the shed run's rows are a sub-multiset of the unshed run's"
+    true
+    (sub_multiset shed_rows unshed);
+  check_int "a quarter of each store, each tuple counted once" 4 shed;
+  check_bool "the shed run silenced the key-200 match" true
+    (List.length shed_rows < List.length unshed)
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry: stats = registry = trace replay, and the report verifies. *)
 
 let test_unmatched_events_replay_exactly () =
@@ -555,9 +618,7 @@ let test_unmatched_events_replay_exactly () =
   in
   check_int "Unmatched events account for every result" n_data from_events;
   let registry_count =
-    Obs.Counters.get
-      (Obs.Registry.counters (Telemetry.registry telemetry))
-      "J1.unmatched_tuples"
+    Obs.Registry.counter (Telemetry.registry telemetry) "J1.unmatched_tuples"
   in
   check_int "registry counter agrees" n_data registry_count;
   (* the op's tuples_out is releases only (anti emits no inner results) *)
@@ -642,5 +703,14 @@ let () =
             test_router_sound_for_kinds;
           Alcotest.test_case "unmatched events replay exactly" `Quick
             test_unmatched_events_replay_exactly;
+        ] );
+      ( "degrade shedding",
+        [
+          Alcotest.test_case "left: shed rows are a sub-multiset" `Quick
+            (test_shed_never_invents_rows Outer_join.Left ~p:"S1");
+          Alcotest.test_case "right: shed rows are a sub-multiset" `Quick
+            (test_shed_never_invents_rows Outer_join.Right ~p:"S2");
+          Alcotest.test_case "full: shed rows are a sub-multiset" `Quick
+            (test_shed_never_invents_rows Outer_join.Full ~p:"S1");
         ] );
     ]
